@@ -4,6 +4,10 @@ The package fits the logistic MLE, builds smoothed studentized pivots on
 the data and bootstrap sides, and inverts their bootstrap quantiles into
 second-order-accurate confidence intervals and regions, alongside the
 usual normal-approximation baseline and a Monte Carlo coverage harness.
+
+The public API is what an analysis needs: fit, smoothing set-up,
+bootstrap ensemble, intervals, the coverage harness and the error types.
+Everything else lives in the submodules.
 """
 
 from .errors import (
@@ -26,121 +30,45 @@ from .inference import (
     IntervalSet,
     make_intervals,
     normal_intervals,
-    quantile,
-    region_contains,
     run_pebble,
 )
-from .linalg import (
-    cholesky_lower,
-    mvn_diag_sample,
-    sym_inv_sqrt,
-    sym_inverse,
-    sym_sqrt,
-    symmetrize,
-)
-from .model import (
-    Dataset,
-    info_matrix,
-    log_likelihood,
-    predict_prob,
-    predict_probs,
-    sandwich_mid,
-    score,
-)
-from .perturb import (
-    BootstrapReplicate,
-    DEFAULT_WEIGHTS,
-    WeightSpec,
-    bootstrap_score,
-    sample_weights,
-    solve_bootstrap,
-)
-from .pivots import (
-    PivotBundle,
-    SmoothingConfig,
-    default_bn,
-    default_d_var,
-    pivot_normal,
-    pivot_smoothed,
-    pivot_smoothed_star,
-)
-from .rng import RandomStream, parse_seed
-from .simulation import (
-    BETA_POOL,
-    CoverageReport,
-    MethodCoverage,
-    Scenario,
-    generate_dataset,
-    run_coverage_study,
-)
-from .solver import (
-    DEFAULT_OPTIONS,
-    FittedModel,
-    SolverOptions,
-    fit_mle,
-    fit_weighted_equation,
-)
+from .linalg import mvn_diag_sample
+from .model import Dataset
+from .pivots import SmoothingConfig, default_bn, default_d_var
+from .rng import RandomStream
+from .simulation import CoverageReport, Scenario, run_coverage_study
+from .solver import FittedModel, fit_mle
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BETA_POOL",
     "BootstrapEnsemble",
-    "BootstrapReplicate",
     "CoverageReport",
     "DataIOError",
     "Dataset",
-    "DEFAULT_OPTIONS",
-    "DEFAULT_WEIGHTS",
     "DegenerateResponseError",
     "EmptySampleError",
     "FittedModel",
     "IntervalSet",
     "InvalidDataError",
-    "MethodCoverage",
     "MissingColumnError",
     "NonBinaryResponseError",
     "NonPositiveVarianceError",
     "ParseError",
     "PebbleError",
-    "PivotBundle",
     "RandomStream",
     "Scenario",
     "SeparationError",
     "SingularMatrixError",
     "SmoothingConfig",
-    "SolverOptions",
     "TooManyFailuresError",
     "UsageError",
-    "WeightSpec",
-    "bootstrap_score",
-    "cholesky_lower",
     "default_bn",
     "default_d_var",
     "fit_mle",
-    "fit_weighted_equation",
-    "generate_dataset",
-    "info_matrix",
-    "log_likelihood",
     "make_intervals",
     "mvn_diag_sample",
     "normal_intervals",
-    "parse_seed",
-    "pivot_normal",
-    "pivot_smoothed",
-    "pivot_smoothed_star",
-    "predict_prob",
-    "predict_probs",
-    "quantile",
-    "region_contains",
     "run_coverage_study",
     "run_pebble",
-    "sample_weights",
-    "sandwich_mid",
-    "score",
-    "solve_bootstrap",
-    "sym_inv_sqrt",
-    "sym_inverse",
-    "sym_sqrt",
-    "symmetrize",
 ]

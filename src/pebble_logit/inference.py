@@ -26,15 +26,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtri
-from scipy.stats import chi2
+from scipy.special import chdtri, expit, ndtri
 
 from .errors import EmptySampleError, SeparationError, SingularMatrixError, TooManyFailuresError
 from .model import Dataset
-from .perturb import DEFAULT_WEIGHTS, WeightSpec, _solve_replicate
+from .perturb import DEFAULT_WEIGHTS, _solve_replicate
 from .pivots import SmoothingConfig, _star_bundle, pivot_smoothed
 from .rng import RandomStream, ScratchStream
-from .solver import DEFAULT_OPTIONS, FittedModel, SolverOptions
+from .solver import FittedModel
 
 MIN_BOOTSTRAP = 100
 MAX_FAILURE_RATE = 0.01
@@ -90,8 +89,6 @@ def run_pebble(
     b: int,
     cfg: SmoothingConfig,
     seed,
-    spec: WeightSpec = DEFAULT_WEIGHTS,
-    opts: SolverOptions = DEFAULT_OPTIONS,
     threads: int = 1,
 ) -> BootstrapEnsemble:
     """Run b bootstrap replicates and collect their pivot statistics.
@@ -108,7 +105,7 @@ def run_pebble(
     p_hat = expit(x @ beta_hat)
     lin0 = x.T @ p_hat
     s = x * (y - p_hat)[:, None]
-    mu = spec.mu
+    mu = DEFAULT_WEIGHTS.mu
     bn = cfg.bn
     sqrt_d = np.sqrt(cfg.d_var)
 
@@ -125,10 +122,10 @@ def run_pebble(
             gen = scratch.rekey(stream, "boot", r)
             beta_star = None
             for _ in range(2):
-                weights = spec.draw(gen, n)
+                weights = DEFAULT_WEIGHTS.draw(gen, n)
                 nu = (weights - mu) / mu
                 try:
-                    beta_star = _solve_replicate(x, lin0, s, beta_hat, nu, opts)
+                    beta_star = _solve_replicate(x, lin0, s, beta_hat, nu)
                     break
                 except SeparationError:
                     continue
@@ -136,7 +133,7 @@ def run_pebble(
                 continue
             z_star = gen.standard_normal(p) * sqrt_d
             try:
-                bundle = _star_bundle(x, s, beta_hat, beta_star, nu, n, bn, z_star)
+                bundle = _star_bundle(x, s, beta_hat, beta_star, nu, bn, z_star)
             except SingularMatrixError:
                 continue
             coord[r] = bundle.coord_pivots
@@ -223,7 +220,7 @@ def normal_intervals(fitted: FittedModel, alpha: float, n: int) -> IntervalSet:
     two_sided = np.column_stack([beta_hat - z_two * se, beta_hat + z_two * se])
     upper = beta_hat + z_one * se
     lower = beta_hat - z_one * se
-    radius = float(np.sqrt(chi2.ppf(1 - alpha, df=p)))
+    radius = float(np.sqrt(chdtri(p, alpha)))
     return IntervalSet(
         alpha=alpha, two_sided=two_sided, upper=upper, lower=lower, region_radius=radius
     )

@@ -1,9 +1,8 @@
-"""The logistic model: probabilities, likelihood, score, and the two
-matrices every pivot is built from.
+"""The logistic model: fitted probabilities and the two matrices every
+pivot is built from.
 
 For a coefficient vector beta and design row x, the success probability is
-``p = e^{x'b} / (1 + e^{x'b})``. The estimating function (score) is
-``sum_i (y_i - p_i) x_i``; the (mean) information matrix is
+``p = e^{x'b} / (1 + e^{x'b})``. The (mean) information matrix is
 ``n^{-1} sum_i p_i (1 - p_i) x_i x_i'`` and the sandwich middle matrix is
 ``n^{-1} sum_i (y_i - p_i)^2 x_i x_i'``.
 
@@ -64,32 +63,9 @@ class Dataset:
         return self.x.shape[1]
 
 
-def predict_prob(beta, x_row) -> float:
-    """Success probability in (0, 1) for one design row.
-
-    Overflow-safe for any finite linear predictor (expit evaluates the
-    e^z/(1+e^z) form on the negative branch and 1/(1+e^-z) on the
-    positive one).
-    """
-    z = float(np.dot(np.asarray(x_row, dtype=float), np.asarray(beta, dtype=float)))
-    return float(expit(z))
-
-
 def predict_probs(beta, x) -> np.ndarray:
     """Vector of success probabilities for all rows of x."""
     return expit(np.asarray(x, dtype=float) @ np.asarray(beta, dtype=float))
-
-
-def log_likelihood(beta, x, y) -> float:
-    """sum_i [y_i x_i'b - log(1 + e^{x_i'b})], always <= 0 for binary y."""
-    z = np.asarray(x, dtype=float) @ np.asarray(beta, dtype=float)
-    return float(np.asarray(y, dtype=float) @ z - np.logaddexp(0.0, z).sum())
-
-
-def score(beta, x, y) -> np.ndarray:
-    """Gradient of the log-likelihood: sum_i (y_i - p_i) x_i."""
-    x = np.asarray(x, dtype=float)
-    return x.T @ (np.asarray(y, dtype=float) - predict_probs(beta, x))
 
 
 def info_matrix(beta, x) -> np.ndarray:

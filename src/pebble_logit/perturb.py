@@ -7,120 +7,46 @@ by an independent non-negative weight G* and re-solves
 
 where p̂ are the fitted probabilities of the original MLE. The weight law
 must satisfy mean mu, Var = mu^2 and E(G*-mu)^3 = mu^3; Beta(1/2, 3/2)
-does (mu = 1/4) and is the default. The mean is always supplied
-analytically, never estimated from the sampled weights.
+does (mu = 1/4). The mean is always supplied analytically, never
+estimated from the sampled weights.
+
+``_solve_replicate`` is the only replicate solve in the package: the
+ensemble loop of ``inference.run_pebble`` calls it for every replicate
+and for its one retry on fresh weights.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .model import Dataset, predict_probs
-from .solver import DEFAULT_OPTIONS, FittedModel, SolverOptions, _newton_lin
+from .solver import _newton_lin
 
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """A perturbation-weight law: a tag, its analytic mean, and a sampler.
+    """The Beta(1/2, 3/2) perturbation-weight law and its analytic mean.
 
-    ``sampler(generator, n)`` must return n independent draws. For the
-    default Beta(1/2, 3/2) the draws come from the gamma-ratio
-    construction G_a / (G_a + G_b), which is exact and stream-stable.
+    Draws come from the gamma-ratio construction G_a / (G_a + G_b), which
+    is exact and stream-stable.
     """
 
-    name: str = "beta(0.5,1.5)"
     mu: float = 0.25
-    sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
 
     def draw(self, generator: np.random.Generator, n: int) -> np.ndarray:
-        if self.sampler is not None:
-            return np.asarray(self.sampler(generator, n), dtype=float)
         ga = generator.standard_gamma(0.5, n)
         gb = generator.standard_gamma(1.5, n)
         return ga / (ga + gb)
-
-    def check_moments(self, stream, draws: int = 1_000_000, rtol: float = 0.05) -> dict:
-        """Monte Carlo audit of the required weight moments.
-
-        Non-negativity and non-degeneracy are hard requirements; a
-        mean/variance/third-central-moment mismatch only warns, since a
-        user may deliberately explore a law outside the contract.
-        """
-        sample = self.draw(stream.generator, draws)
-        if np.any(sample < 0.0):
-            raise ValueError(f"weight law {self.name!r} produced negative draws")
-        if np.ptp(sample) == 0.0:
-            raise ValueError(f"weight law {self.name!r} is degenerate")
-        mean = float(sample.mean())
-        centered = sample - mean
-        var = float(np.mean(centered**2))
-        third = float(np.mean(centered**3))
-        mu = self.mu
-        checks = {"mean": (mean, mu), "var": (var, mu**2), "third": (third, mu**3)}
-        for label, (got, want) in checks.items():
-            if abs(got - want) > rtol * max(abs(want), 1e-12):
-                warnings.warn(
-                    f"weight law {self.name!r}: {label} = {got:.6f}, "
-                    f"contract requires {want:.6f}",
-                    stacklevel=2,
-                )
-        return {k: v[0] for k, v in checks.items()}
 
 
 DEFAULT_WEIGHTS = WeightSpec()
 
 
-@dataclass(frozen=True)
-class BootstrapReplicate:
-    """One solved replicate: its coefficients and a digest of the
-    centered-scaled weights (sum, sum of squares) for audit."""
-
-    beta_star: np.ndarray
-    weights_digest: tuple[float, float]
-
-
-def sample_weights(stream, n: int, spec: WeightSpec = DEFAULT_WEIGHTS) -> np.ndarray:
-    """n independent weight draws from the given weight law."""
-    if n < 1:
-        raise ValueError("need n >= 1 weights")
-    return spec.draw(stream.generator, n)
-
-
-def bootstrap_score(t, data: Dataset, beta_hat, weights, mu: float = DEFAULT_WEIGHTS.mu) -> np.ndarray:
-    """Left-hand side of the bootstrap estimating equation at t."""
-    p_hat = predict_probs(beta_hat, data.x)
-    nu = (np.asarray(weights, dtype=float) - mu) / mu
-    resid_term = data.x.T @ ((data.y - p_hat) * nu)
-    plugin_term = data.x.T @ (p_hat - predict_probs(t, data.x))
-    return resid_term + plugin_term
-
-
-def _solve_replicate(x, lin0, s, beta_hat, nu, opts: SolverOptions) -> np.ndarray:
-    """Replicate Newton solve with precomputed pieces: lin0 = x'p̂ and the
-    residual-scaled design rows s = (y - p̂) x; shared by the public op and
-    the ensemble hot loop."""
+def _solve_replicate(x, lin0, s, beta_hat, nu) -> np.ndarray:
+    """Replicate Newton solve from β̂, given the per-dataset pieces
+    lin0 = x'p̂ and the residual-scaled design rows s = (y - p̂) x, and the
+    centered-scaled weights nu = (G* - mu)/mu."""
     offset = s.T @ nu
-    t, _, _ = _newton_lin(x, lin0 + offset, beta_hat, opts)
+    t, _, _ = _newton_lin(x, lin0 + offset, beta_hat)
     return t
-
-
-def solve_bootstrap(
-    data: Dataset,
-    fitted: FittedModel,
-    weights,
-    opts: SolverOptions = DEFAULT_OPTIONS,
-    spec: WeightSpec = DEFAULT_WEIGHTS,
-) -> BootstrapReplicate:
-    """Solve one replicate's estimating equation, anchored at the MLE."""
-    nu = (np.asarray(weights, dtype=float) - spec.mu) / spec.mu
-    p_hat = predict_probs(fitted.beta_hat, data.x)
-    s = data.x * (data.y - p_hat)[:, None]
-    beta_star = _solve_replicate(data.x, data.x.T @ p_hat, s, fitted.beta_hat, nu, opts)
-    return BootstrapReplicate(
-        beta_star=beta_star,
-        weights_digest=(float(nu.sum()), float(np.dot(nu, nu))),
-    )

@@ -27,11 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .linalg import sym_inv_sqrt, sym_inverse, sym_sqrt, symmetrize
-from .model import Dataset
-from .perturb import DEFAULT_WEIGHTS, BootstrapReplicate
+from .model import info_matrix
 from .solver import FittedModel
 
 
@@ -100,39 +98,21 @@ def pivot_smoothed(fitted: FittedModel, beta0, n: int, cfg: SmoothingConfig) -> 
     return PivotBundle(h_check=h, h_norm=float(np.linalg.norm(h)), coord_pivots=coord)
 
 
-def pivot_smoothed_star(
-    data: Dataset,
-    fitted: FittedModel,
-    rep: BootstrapReplicate,
-    weights,
-    n: int,
-    cfg: SmoothingConfig,
-    z_star,
-    mu: float = DEFAULT_WEIGHTS.mu,
-) -> PivotBundle:
-    """Bootstrap-side smoothed pivot bundle for one solved replicate."""
-    nu = (np.asarray(weights, dtype=float) - mu) / mu
-    p_hat = expit(data.x @ fitted.beta_hat)
-    s = data.x * (data.y - p_hat)[:, None]
-    return _star_bundle(data.x, s, fitted.beta_hat, rep.beta_star, nu, n, cfg.bn, z_star)
-
-
-def _star_bundle(x, s, beta_hat, beta_star, nu, n, bn, z_star) -> PivotBundle:
-    """Shared bootstrap-pivot kernel; ``s`` is the matrix of residual-scaled
-    rows (y - p̂)x built once per dataset."""
-    probs = expit(x @ beta_star)
-    w = probs * (1.0 - probs)
-    l_star = symmetrize(x.T @ (x * w[:, None]) / n)
+def _star_bundle(x, s, beta_hat, beta_star, nu, bn, z_star) -> PivotBundle:
+    """Bootstrap-side smoothed pivot bundle for one solved replicate, the
+    only one in the package; ``s`` is the matrix of residual-scaled rows
+    (y - p̂)x built once per dataset and ``nu`` the replicate's
+    centered-scaled weights."""
+    n = x.shape[0]
+    l_star = info_matrix(beta_star, x)
     s_nu = s * nu[:, None]
     m_star = symmetrize(s_nu.T @ s_nu / n)
     m_inv_sqrt = sym_inv_sqrt(m_star)  # raises SingularMatrixError on degenerate weights
     l_star_inv = sym_inverse(l_star)
     sigma_star = l_star_inv @ m_star @ l_star_inv
     delta = beta_star - beta_hat
-    h = m_inv_sqrt @ (np.sqrt(n) * (l_star @ delta) + bn * np.asarray(z_star, dtype=float))
-    coord = _coord_pivots(
-        delta, l_star_inv @ np.asarray(z_star, dtype=float), np.diag(sigma_star), n, bn
-    )
+    h = m_inv_sqrt @ (np.sqrt(n) * (l_star @ delta) + bn * z_star)
+    coord = _coord_pivots(delta, l_star_inv @ z_star, np.diag(sigma_star), n, bn)
     return PivotBundle(h_check=h, h_norm=float(np.linalg.norm(h)), coord_pivots=coord)
 
 

@@ -64,19 +64,11 @@ class RandomStream:
         """One uniform draw in [0, 1)."""
         return float(self.generator.random())
 
-    def next_gaussian(self) -> float:
-        """One standard normal draw (numpy ziggurat)."""
-        return float(self.generator.standard_normal())
-
     def uniforms(self, size) -> np.ndarray:
         return self.generator.random(size)
 
     def gaussians(self, size) -> np.ndarray:
         return self.generator.standard_normal(size)
-
-    def gammas(self, shape: float, size) -> np.ndarray:
-        """Standard gamma draws (Marsaglia-Tsang, with boosting for shape < 1)."""
-        return self.generator.standard_gamma(shape, size)
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, path={self.path!r})"

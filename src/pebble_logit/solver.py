@@ -1,11 +1,12 @@
 """Damped Newton solver for the score equation and its perturbed variants.
 
 Both the MLE and every bootstrap replicate are roots of the same family of
-concave problems: maximize ``offset't + sum_i [c_i (x_i't) - log(1 + e^{x_i't})]``
-over t, where ``c`` is the response (MLE, offset 0) or the fitted
-probabilities (bootstrap, offset = the weighted residual term). The
-gradient is ``offset + sum_i (c_i - p(t|x_i)) x_i`` and the Hessian is the
-negative scaled information matrix, so one Newton kernel serves both.
+concave problems: maximize ``lin't - sum_i log(1 + e^{x_i't})`` over t. The
+gradient is ``lin - sum_i p(t|x_i) x_i`` and the Hessian is the negative
+scaled information matrix, so one Newton kernel, ``_newton_lin``, serves
+both: :func:`fit_mle` calls it with ``lin = x'y`` from a zero start, and
+``perturb._solve_replicate`` with ``lin = x'p̂ + offset`` (the weighted
+residual term) from β̂.
 
 Newton steps are safeguarded by step-halving against the concave
 objective, which makes the iteration monotone; convergence is declared on
@@ -22,8 +23,13 @@ from scipy.special import expit
 
 from .errors import SeparationError, SingularMatrixError
 from .linalg import sym_inverse, symmetrize
-from .model import Dataset
+from .model import Dataset, info_matrix, predict_probs, sandwich_mid
 
+# Convergence tolerance on the max-norm of the mean gradient.
+_TOL = 1e-10
+_MAX_ITER = 100
+# An iterate whose max-norm exceeds this is taken as escaping to infinity.
+_DIVERGENCE_NORM = 1e4
 _MAX_HALVINGS = 30
 
 # Trial Newton steps are clipped to this max-norm (relative to the current
@@ -38,20 +44,6 @@ _STEP_CAP = 8.0
 # to rounding, so an exact obj_try >= obj test can reject a converging step
 # on float noise and burn the full halving budget.
 _OBJ_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tol: float = 1e-10
-    max_iter: int = 100
-    divergence_norm: float = 1e4
-
-    def __post_init__(self):
-        if not (self.tol > 0.0 and self.max_iter >= 1 and self.divergence_norm > 0.0):
-            raise ValueError("tol > 0, max_iter >= 1, divergence_norm > 0 required")
-
-
-DEFAULT_OPTIONS = SolverOptions()
 
 
 @dataclass(frozen=True)
@@ -72,39 +64,28 @@ class FittedModel:
     final_score_norm: float
 
 
-def newton_root(x, targets, offset, start, opts: SolverOptions = DEFAULT_OPTIONS,
-                trace: list | None = None):
+def _newton_lin(x, lin, start):
     """Maximize the concave objective described in the module docstring.
 
-    Returns (t, iterations, final mean-gradient max-norm). Raises
-    SeparationError when no finite root is reachable. When ``trace`` is a
-    list, the objective value of every accepted step is appended to it.
+    ``lin`` is the constant part of the gradient ``lin - x' p(t)``,
+    precomputable across bootstrap replicates. Returns (t, iterations,
+    final mean-gradient max-norm). Raises SeparationError when no finite
+    root is reachable.
     """
-    x = np.asarray(x, dtype=float)
-    lin = x.T @ np.asarray(targets, dtype=float) + np.asarray(offset, dtype=float)
-    return _newton_lin(x, lin, start, opts, trace)
-
-
-def _newton_lin(x, lin, start, opts: SolverOptions, trace: list | None = None):
-    """Newton core on the gradient form ``lin - x' p(t)``; ``lin`` is the
-    constant part of the gradient, precomputable across bootstrap
-    replicates."""
     n = x.shape[0]
     t = np.array(start, dtype=float)
 
     def objective(t_vec, z_vec):
-        # offset't + sum targets*(x't) - sum log(1 + e^{x't})
+        # lin't - sum log(1 + e^{x't})
         return float(lin @ t_vec - np.logaddexp(0.0, z_vec).sum())
 
     z = x @ t
     obj = objective(t, z)
-    if trace is not None:
-        trace.append(obj)
-    for iteration in range(opts.max_iter):
+    for iteration in range(_MAX_ITER):
         probs = expit(z)
         g = lin - x.T @ probs
         score_norm = float(np.abs(g).max()) / n
-        if score_norm <= opts.tol:
+        if score_norm <= _TOL:
             return t, iteration, score_norm
         w = probs * (1.0 - probs)
         hess = x.T @ (x * w[:, None])
@@ -131,43 +112,34 @@ def _newton_lin(x, lin, start, opts: SolverOptions, trace: list | None = None):
         if not accepted:
             break
         t, z, obj = t_try, z_try, obj_try
-        if trace is not None:
-            trace.append(obj)
-        if float(np.abs(t).max()) > opts.divergence_norm:
+        if float(np.abs(t).max()) > _DIVERGENCE_NORM:
             raise SeparationError(
-                f"iterate exceeded divergence bound {opts.divergence_norm:g}; "
+                f"iterate exceeded divergence bound {_DIVERGENCE_NORM:g}; "
                 "data are likely separated"
             )
     probs = expit(z)
     g = lin - x.T @ probs
     score_norm = float(np.abs(g).max()) / n
-    if score_norm <= opts.tol:
-        return t, opts.max_iter, score_norm
+    if score_norm <= _TOL:
+        return t, _MAX_ITER, score_norm
     raise SeparationError(
-        f"no convergence after {opts.max_iter} iterations "
+        f"no convergence after {_MAX_ITER} iterations "
         f"(mean score norm {score_norm:.3e}); data are likely separated"
     )
 
 
-def fit_mle(data: Dataset, opts: SolverOptions = DEFAULT_OPTIONS) -> FittedModel:
+def fit_mle(data: Dataset) -> FittedModel:
     """Solve the score equation from a zero start and package the fit."""
-    n, p = data.n, data.p
-    beta, iterations, score_norm = newton_root(
-        data.x, data.y, np.zeros(p), np.zeros(p), opts
-    )
-    probs = expit(data.x @ beta)
+    beta, iterations, score_norm = _newton_lin(data.x, data.x.T @ data.y, np.zeros(data.p))
     # A score that underflows to "converged" while every observation sits
     # essentially on its fitted label means the data are perfectly
     # classified: the true MLE is at infinity.
-    if float(np.abs(data.y - probs).max()) <= 1e-8:
+    if float(np.abs(data.y - predict_probs(beta, data.x)).max()) <= 1e-8:
         raise SeparationError(
             "data are perfectly classified; the MLE diverges (complete separation)"
         )
-    w = probs * (1.0 - probs)
-    l_hat = symmetrize(data.x.T @ (data.x * w[:, None]) / n)
-    resid = data.y - probs
-    s = data.x * resid[:, None]
-    m_hat = symmetrize(s.T @ s / n)
+    l_hat = info_matrix(beta, data.x)
+    m_hat = sandwich_mid(beta, data.x, data.y)
     try:
         l_inv = sym_inverse(l_hat)
     except SingularMatrixError:
@@ -185,23 +157,3 @@ def fit_mle(data: Dataset, opts: SolverOptions = DEFAULT_OPTIONS) -> FittedModel
         iterations=iterations,
         final_score_norm=score_norm,
     )
-
-
-def fit_weighted_equation(
-    data: Dataset,
-    beta_anchor,
-    offset,
-    opts: SolverOptions = DEFAULT_OPTIONS,
-) -> np.ndarray:
-    """Solve ``offset + sum_i (p(anchor|x_i) - p(t|x_i)) x_i = 0`` for t.
-
-    This is the deterministic core of the bootstrap estimating equation:
-    the random weights only enter through ``offset``, so the Jacobian is
-    the ordinary negative information matrix and Newton applies unchanged.
-    The iteration starts at the anchor, which is the exact root when the
-    offset vanishes.
-    """
-    anchor = np.asarray(beta_anchor, dtype=float)
-    targets = expit(data.x @ anchor)
-    t, _, _ = newton_root(data.x, targets, np.asarray(offset, dtype=float), anchor, opts)
-    return t

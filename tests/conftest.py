@@ -1,16 +1,77 @@
-"""Shared test helpers: random SPD matrices, random datasets, and the
-smoothed-pivot distributional check reused by the acceptance suite."""
+"""Shared test helpers: random SPD matrices, random datasets, plain-formula
+oracles of the logistic model, a finite-difference helper, entry points to
+the replicate kernel, and the smoothed-pivot distributional check reused by
+the acceptance suite."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from pebble_logit import Dataset, RandomStream, SmoothingConfig, fit_mle, pivot_smoothed
+from pebble_logit import Dataset, RandomStream, SmoothingConfig, fit_mle
 from pebble_logit.errors import SeparationError
 from pebble_logit.linalg import mvn_diag_sample
-from pebble_logit.pivots import default_bn, default_d_var
+from pebble_logit.perturb import DEFAULT_WEIGHTS, _solve_replicate
+from pebble_logit.pivots import _star_bundle, default_bn, default_d_var, pivot_smoothed
 from pebble_logit.simulation import Scenario, generate_dataset
+
+MU = DEFAULT_WEIGHTS.mu
+
+
+def predict_prob(beta, x_row) -> float:
+    """Success probability in (0, 1) for one design row."""
+    z = float(np.dot(np.asarray(x_row, dtype=float), np.asarray(beta, dtype=float)))
+    return float(expit(z))
+
+
+def log_likelihood(beta, x, y) -> float:
+    """sum_i [y_i x_i'b - log(1 + e^{x_i'b})], always <= 0 for binary y."""
+    z = np.asarray(x, dtype=float) @ np.asarray(beta, dtype=float)
+    return float(np.asarray(y, dtype=float) @ z - np.logaddexp(0.0, z).sum())
+
+
+def score(beta, x, y) -> np.ndarray:
+    """Gradient of the log-likelihood: sum_i (y_i - p_i) x_i."""
+    x = np.asarray(x, dtype=float)
+    return x.T @ (np.asarray(y, dtype=float) - expit(x @ np.asarray(beta, dtype=float)))
+
+
+def bootstrap_score(t, data: Dataset, beta_hat, weights, mu: float = MU) -> np.ndarray:
+    """Left-hand side of the bootstrap estimating equation at t:
+    sum_i (y_i - p̂_i) x_i (G_i - mu)/mu + sum_i (p̂_i - p(t|x_i)) x_i."""
+    p_hat = expit(data.x @ beta_hat)
+    nu = (np.asarray(weights, dtype=float) - mu) / mu
+    return data.x.T @ ((data.y - p_hat) * nu) + data.x.T @ (p_hat - expit(data.x @ t))
+
+
+def central_differences(f, beta, h: float) -> np.ndarray:
+    """Row j is (f(beta + h e_j) - f(beta - h e_j)) / 2h: the gradient of a
+    scalar f, or the transposed Jacobian of a vector f."""
+    rows = []
+    for j in range(beta.size):
+        e = np.zeros(beta.size)
+        e[j] = h
+        rows.append((np.asarray(f(beta + e)) - np.asarray(f(beta - e))) / (2 * h))
+    return np.array(rows)
+
+
+def replicate_pieces(data: Dataset, beta_hat):
+    """(lin0, s) = (x'p̂, (y - p̂)x), built the way ``run_pebble`` builds them."""
+    p_hat = expit(data.x @ beta_hat)
+    return data.x.T @ p_hat, data.x * (data.y - p_hat)[:, None]
+
+
+def solve_replicate(data: Dataset, beta_hat, weights) -> np.ndarray:
+    """β̂* for one weight vector, through the package's replicate kernel."""
+    lin0, s = replicate_pieces(data, beta_hat)
+    return _solve_replicate(data.x, lin0, s, beta_hat, (weights - MU) / MU)
+
+
+def star_bundle(data: Dataset, beta_hat, beta_star, weights, bn: float, z_star):
+    """Bootstrap-side pivot bundle, through the package's replicate kernel."""
+    _, s = replicate_pieces(data, beta_hat)
+    return _star_bundle(data.x, s, beta_hat, beta_star, (weights - MU) / MU, bn, z_star)
 
 
 def random_spd(rng: np.random.Generator, dim: int, cond: float = 100.0) -> np.ndarray:

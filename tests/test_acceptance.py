@@ -24,20 +24,24 @@ from pebble_logit import (
     Scenario,
     SmoothingConfig,
     fit_mle,
-    info_matrix,
-    log_likelihood,
-    quantile,
     run_coverage_study,
     run_pebble,
-    sample_weights,
-    score,
-    solve_bootstrap,
-    sym_inv_sqrt,
 )
 from pebble_logit.dataio import load_csv
-from pebble_logit.linalg import mvn_diag_sample
+from pebble_logit.inference import quantile
+from pebble_logit.linalg import mvn_diag_sample, sym_inv_sqrt
+from pebble_logit.model import info_matrix
+from pebble_logit.perturb import DEFAULT_WEIGHTS
 from pebble_logit.pivots import default_bn, default_d_var
-from conftest import grid_mle_1d, random_dataset, random_spd
+from conftest import (
+    central_differences,
+    grid_mle_1d,
+    log_likelihood,
+    random_dataset,
+    random_spd,
+    score,
+    solve_replicate,
+)
 
 ACCEPT_SEED = 20240809
 REPS_100_3 = int(os.environ.get("PEBBLE_ACCEPT_REPS", "1000"))
@@ -183,20 +187,12 @@ class TestCriterion5:
             beta = rng.normal(0, 0.7, p)
             g = score(beta, data.x, data.y)
             info = info_matrix(beta, data.x)
-            h = 1e-6
+            fd_g = central_differences(lambda b: log_likelihood(b, data.x, data.y), beta, 1e-6)
             for j in range(p):
-                e = np.zeros(p)
-                e[j] = h
-                fd_g = (log_likelihood(beta + e, data.x, data.y)
-                        - log_likelihood(beta - e, data.x, data.y)) / (2 * h)
-                assert fd_g == pytest.approx(g[j], rel=1e-6, abs=1e-6)
-            h2 = 1e-5
+                assert fd_g[j] == pytest.approx(g[j], rel=1e-6, abs=1e-6)
+            fd_info = -central_differences(lambda b: score(b, data.x, data.y), beta, 1e-5) / n
             for j in range(p):
-                e = np.zeros(p)
-                e[j] = h2
-                fd_row = -(score(beta + e, data.x, data.y)
-                           - score(beta - e, data.x, data.y)) / (2 * h2 * n)
-                assert np.allclose(fd_row, info[j], rtol=1e-5, atol=1e-7)
+                assert np.allclose(fd_info[j], info[j], rtol=1e-5, atol=1e-7)
         report("5a", True, "score/info match finite differences on 50 instances")
 
     def test_mle_grid_oracle(self):
@@ -222,8 +218,8 @@ class TestCriterion5:
             p = int(rng.integers(1, 4))
             data = random_dataset(rng, n, p)
             fitted = fit_mle(data)
-            rep = solve_bootstrap(data, fitted, np.full(n, 0.25))
-            worst = max(worst, float(np.max(np.abs(rep.beta_star - fitted.beta_hat))))
+            beta_star = solve_replicate(data, fitted.beta_hat, np.full(n, 0.25))
+            worst = max(worst, float(np.max(np.abs(beta_star - fitted.beta_hat))))
         report("5c", worst <= 1e-9, f"degenerate-weight max deviation = {worst:.2e}")
         assert worst <= 10 * 1e-10
 
@@ -239,7 +235,7 @@ class TestCriterion5:
         assert worst <= 1e-8
 
     def test_beta_weight_moments(self):
-        draws = sample_weights(RandomStream(ACCEPT_SEED).derive("w", 0), 1_000_000)
+        draws = DEFAULT_WEIGHTS.draw(RandomStream(ACCEPT_SEED).derive("w", 0).generator, 1_000_000)
         mean = draws.mean()
         centered = draws - mean
         var = float(np.mean(centered**2))

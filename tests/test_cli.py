@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,3 +168,16 @@ class TestErrorPaths:
         code = run(["ci", "--data", fixture_csv, "--response", "y", "--seed", "abc"])
         assert code == 2
         assert capsys.readouterr().err.startswith("ERROR:usage:")
+
+
+class TestImport:
+    def test_cli_import_leaves_out_scipy_stats(self):
+        # scipy.stats is most of a cold start and the package needs none of it.
+        import pebble_logit
+
+        src = str(Path(pebble_logit.__file__).resolve().parents[1])
+        code = "import sys, pebble_logit.cli; print('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        assert done.stdout.strip() == "False"

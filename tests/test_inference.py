@@ -10,14 +10,13 @@ from pebble_logit import (
     fit_mle,
     make_intervals,
     normal_intervals,
-    quantile,
-    region_contains,
     run_pebble,
 )
-from pebble_logit.inference import BootstrapEnsemble
+from pebble_logit.inference import BootstrapEnsemble, quantile, region_contains
+from pebble_logit.perturb import DEFAULT_WEIGHTS
 from pebble_logit.pivots import default_bn, default_d_var
 from pebble_logit.linalg import mvn_diag_sample
-from conftest import random_dataset
+from conftest import random_dataset, solve_replicate, star_bundle
 
 
 class TestQuantile:
@@ -95,19 +94,18 @@ class TestRunPebble:
         assert np.array_equal(a.coord_pivots, b.coord_pivots)
 
     def test_matches_public_per_replicate_ops(self):
-        from pebble_logit import pivot_smoothed_star, sample_weights, solve_bootstrap
-
+        # Replay replicate r from its own substream through the kernel.
         data, fitted, _, cfg = small_problem(seed=23)
         stream = RandomStream(5)
         ensemble = run_pebble(data, fitted, 120, cfg, RandomStream(5))
         assert ensemble.failed_replicates == 0
         for r in (0, 7, 119):
             sub = stream.derive("boot", r)
-            weights = sample_weights(sub, data.n)
-            rep = solve_bootstrap(data, fitted, weights)
+            weights = DEFAULT_WEIGHTS.draw(sub.generator, data.n)
+            beta_star = solve_replicate(data, fitted.beta_hat, weights)
             z_star = mvn_diag_sample(sub, cfg.d_var)
-            bundle = pivot_smoothed_star(data, fitted, rep, weights, data.n, cfg, z_star)
-            assert np.array_equal(ensemble.beta_stars[r], rep.beta_star)
+            bundle = star_bundle(data, fitted.beta_hat, beta_star, weights, cfg.bn, z_star)
+            assert np.array_equal(ensemble.beta_stars[r], beta_star)
             assert np.array_equal(ensemble.coord_pivots[r], bundle.coord_pivots)
             assert ensemble.h_norms[r] == bundle.h_norm
 

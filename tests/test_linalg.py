@@ -5,12 +5,9 @@ from pebble_logit import (
     NonPositiveVarianceError,
     RandomStream,
     SingularMatrixError,
-    cholesky_lower,
     mvn_diag_sample,
-    sym_inv_sqrt,
-    sym_inverse,
-    sym_sqrt,
 )
+from pebble_logit.linalg import cholesky_lower, sym_inv_sqrt, sym_inverse, sym_sqrt
 from conftest import random_spd
 
 

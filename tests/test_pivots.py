@@ -9,13 +9,10 @@ from pebble_logit import (
     SingularMatrixError,
     SmoothingConfig,
     fit_mle,
-    pivot_normal,
-    pivot_smoothed,
-    pivot_smoothed_star,
-    sample_weights,
-    solve_bootstrap,
 )
-from pebble_logit.pivots import default_bn, default_d_var
+from pebble_logit.perturb import DEFAULT_WEIGHTS
+from pebble_logit.pivots import default_bn, default_d_var, pivot_normal, pivot_smoothed
+from conftest import solve_replicate, star_bundle
 
 
 def synthetic_fit(beta_hat, l_hat, m_hat, sigma_hat=None):
@@ -141,8 +138,8 @@ def two_point_case():
     data = Dataset(x=np.ones((2, 1)), y=np.array([1.0, 0.0]))
     fitted = fit_mle(data)
     weights = np.array([0.5, 0.25])
-    rep = solve_bootstrap(data, fitted, weights)
-    return data, fitted, weights, rep
+    beta_star = solve_replicate(data, fitted.beta_hat, weights)
+    return data, fitted, weights, beta_star
 
 
 class TestPivotSmoothedStar:
@@ -152,31 +149,23 @@ class TestPivotSmoothedStar:
         y = (rng.random(30) < 0.5).astype(float)
         data = Dataset(x=x, y=y)
         fitted = fit_mle(data)
-        weights = sample_weights(RandomStream(42).derive("w", 0), 30)
-        rep = solve_bootstrap(data, fitted, weights)
-        cfg = SmoothingConfig(bn=0.2, d_var=np.full(2, 0.25), z_original=np.zeros(2))
-        from pebble_logit.perturb import BootstrapReplicate
-        anchored = BootstrapReplicate(beta_star=fitted.beta_hat, weights_digest=(0.0, 0.0))
-        bundle = pivot_smoothed_star(data, fitted, anchored, weights, 30, cfg, np.zeros(2))
+        weights = DEFAULT_WEIGHTS.draw(RandomStream(42).derive("w", 0).generator, 30)
+        bundle = star_bundle(data, fitted.beta_hat, fitted.beta_hat, weights, 0.2, np.zeros(2))
         assert np.allclose(bundle.h_check, 0.0, atol=1e-12)
         assert np.allclose(bundle.coord_pivots, 0.0, atol=1e-12)
 
     def test_degenerate_weights_raise_singular(self):
         data, fitted, _, _ = two_point_case()
-        cfg = SmoothingConfig(bn=0.5, d_var=np.array([0.25]), z_original=np.zeros(1))
-        from pebble_logit.perturb import BootstrapReplicate
-        anchored = BootstrapReplicate(beta_star=fitted.beta_hat, weights_digest=(0.0, 0.0))
         with pytest.raises(SingularMatrixError):
-            pivot_smoothed_star(data, fitted, anchored, np.full(2, 0.25), 2, cfg, np.zeros(1))
+            star_bundle(data, fitted.beta_hat, fitted.beta_hat, np.full(2, 0.25), 0.5, np.zeros(1))
 
     def test_hand_recomputation(self):
-        data, fitted, weights, rep = two_point_case()
+        data, fitted, weights, beta_star = two_point_case()
         bn, z_star = 0.5, np.array([0.2])
-        cfg = SmoothingConfig(bn=bn, d_var=np.array([0.25]), z_original=np.zeros(1))
-        bundle = pivot_smoothed_star(data, fitted, rep, weights, 2, cfg, z_star)
+        bundle = star_bundle(data, fitted.beta_hat, beta_star, weights, bn, z_star)
 
         # independent scalar arithmetic
-        bs = rep.beta_star[0]
+        bs = beta_star[0]
         ps = np.exp(bs) / (1 + np.exp(bs))
         l_star = ps * (1 - ps)  # both rows x=1, averaged over n=2
         nu = (weights - 0.25) / 0.25
@@ -191,8 +180,8 @@ class TestPivotSmoothedStar:
 
     def test_star_side_uses_its_own_matrices(self):
         # the bootstrap information matrix is evaluated at beta_star
-        data, fitted, weights, rep = two_point_case()
-        ps = expit(rep.beta_star[0])
+        data, fitted, weights, beta_star = two_point_case()
+        ps = expit(beta_star[0])
         assert ps == pytest.approx(0.75, abs=1e-8)
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pebble_logit import RandomStream, Scenario, generate_dataset, run_coverage_study
-from pebble_logit.simulation import BETA_POOL, _aggregate
+from pebble_logit import RandomStream, Scenario, run_coverage_study
+from pebble_logit.simulation import BETA_POOL, _aggregate, generate_dataset
 
 
 class TestScenario:

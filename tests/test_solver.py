@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import expit
 
-from pebble_logit import (
-    Dataset,
-    SeparationError,
-    SolverOptions,
-    fit_mle,
-    fit_weighted_equation,
-    log_likelihood,
-    score,
-)
-from pebble_logit.solver import newton_root
-from conftest import grid_mle_1d, random_dataset
+from pebble_logit import Dataset, SeparationError, fit_mle, solver
+from pebble_logit.model import predict_probs
+from pebble_logit.solver import _newton_lin
+from conftest import grid_mle_1d, log_likelihood, random_dataset, replicate_pieces, score
+
+
+def fit_weighted_equation(data, beta_anchor, offset):
+    """Root t of ``offset + sum_i (p(anchor|x_i) - p(t|x_i)) x_i = 0``, the
+    deterministic core of the bootstrap equation, by the Newton kernel
+    started at the anchor."""
+    lin0, _ = replicate_pieces(data, beta_anchor)
+    return _newton_lin(data.x, lin0 + offset, beta_anchor)[0]
 
 
 def intercept_only(n_ones: int, n: int) -> Dataset:
@@ -81,13 +85,23 @@ class TestFitMle:
         with pytest.raises(SeparationError):
             fit_mle(Dataset(x=x, y=y))
 
-    def test_monotone_ascent_trace(self):
+    def test_monotone_ascent_trace(self, monkeypatch):
         rng = np.random.default_rng(6)
         for _ in range(10):
             data = random_dataset(rng, 40, 2)
-            trace = []
-            newton_root(data.x, data.y, np.zeros(2), np.zeros(2), trace=trace)
-            values = np.array(trace)
+            # The Newton loop evaluates expit once at every accepted iterate,
+            # on its linear predictor z = x t.
+            seen = []
+
+            def recording_expit(z):
+                seen.append(np.array(z))
+                return expit(z)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "expit", recording_expit)
+                fit_mle(data)
+            iterates = [np.linalg.lstsq(data.x, z, rcond=None)[0] for z in seen]
+            values = np.array([log_likelihood(t, data.x, data.y) for t in iterates])
             slack = 1e-12 * (1.0 + np.abs(values[:-1]))
             assert np.all(np.diff(values) >= -slack)
             assert values[-1] == pytest.approx(
@@ -95,14 +109,27 @@ class TestFitMle:
             )
 
 
-class TestSolverOptions:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverOptions(tol=0.0)
-        with pytest.raises(ValueError):
-            SolverOptions(max_iter=0)
-        with pytest.raises(ValueError):
-            SolverOptions(divergence_norm=-1.0)
+@st.composite
+def overlapped_data(draw):
+    """Arbitrary rows and labels plus each unit vector once with y = 0 and
+    once with y = 1. The unit pairs span R^p, so no direction separates
+    the data and the MLE is finite."""
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 60))
+    x = draw(arrays(float, (n, p), elements=st.floats(-3.0, 3.0)))
+    y = draw(arrays(float, n, elements=st.sampled_from([0.0, 1.0])))
+    eye = np.eye(p)
+    return Dataset(x=np.vstack([x, eye, eye]), y=np.concatenate([y, np.zeros(p), np.ones(p)]))
+
+
+class TestLabelFlip:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(overlapped_data())
+    def test_flipped_response_negates_beta(self, data):
+        fitted = fit_mle(data)
+        flipped = fit_mle(Dataset(x=data.x, y=1.0 - data.y))
+        assert np.allclose(flipped.beta_hat, -fitted.beta_hat, rtol=0.0, atol=1e-8)
+        assert np.allclose(flipped.l_hat, fitted.l_hat, rtol=0.0, atol=1e-12)
 
 
 class TestFitWeightedEquation:
@@ -119,7 +146,6 @@ class TestFitWeightedEquation:
         fitted = fit_mle(data)
         offset = rng.normal(0, 1.0, 3)
         t = fit_weighted_equation(data, fitted.beta_hat, offset)
-        from pebble_logit import predict_probs
         eq = offset + data.x.T @ (predict_probs(fitted.beta_hat, data.x) - predict_probs(t, data.x))
         assert np.max(np.abs(eq)) / data.n <= 1e-10
 
@@ -129,8 +155,6 @@ class TestFitWeightedEquation:
         data = random_dataset(rng, 25, 1)
         fitted = fit_mle(data)
         offset = np.array([rng.normal(0, 2.0)])
-
-        from pebble_logit import predict_probs
 
         def equation(v):
             terms = offset + data.x.T @ (

@@ -1,20 +1,13 @@
-import warnings
-
 import numpy as np
 import pytest
 
-from pebble_logit import (
-    Dataset,
-    RandomStream,
-    WeightSpec,
-    bootstrap_score,
-    fit_mle,
-    sample_weights,
-    solve_bootstrap,
-)
-from conftest import random_dataset
+from pebble_logit import Dataset, RandomStream, fit_mle
+from pebble_logit.perturb import DEFAULT_WEIGHTS
+from conftest import MU, bootstrap_score, random_dataset, solve_replicate
 
-MU = 0.25
+
+def sample_weights(stream, n):
+    return DEFAULT_WEIGHTS.draw(stream.generator, n)
 
 
 def hand_case():
@@ -33,10 +26,6 @@ class TestSampleWeights:
         b = sample_weights(RandomStream(2).derive("w", 0), 100)
         assert np.array_equal(a, b)
 
-    def test_needs_positive_n(self):
-        with pytest.raises(ValueError):
-            sample_weights(RandomStream(1), 0)
-
     def test_beta_moments_million_draws(self):
         w = sample_weights(RandomStream(3).derive("w", 0), 1_000_000)
         mean = w.mean()
@@ -44,22 +33,6 @@ class TestSampleWeights:
         assert abs(mean - 0.25) <= 0.002
         assert abs(np.mean(centered**2) - 0.0625) <= 0.002
         assert abs(np.mean(centered**3) - 0.015625) <= 0.002
-
-    def test_check_moments_passes_default(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            stats = WeightSpec().check_moments(RandomStream(4).derive("w", 0))
-        assert stats["mean"] == pytest.approx(0.25, abs=0.01)
-
-    def test_check_moments_warns_on_bad_law(self):
-        bad = WeightSpec(name="uniform", mu=0.5, sampler=lambda gen, n: gen.random(n))
-        with pytest.warns(UserWarning):
-            bad.check_moments(RandomStream(5).derive("w", 0), draws=100_000)
-
-    def test_check_moments_rejects_negative_draws(self):
-        neg = WeightSpec(name="gauss", mu=0.0, sampler=lambda gen, n: gen.standard_normal(n))
-        with pytest.raises(ValueError):
-            neg.check_moments(RandomStream(6).derive("w", 0), draws=10_000)
 
 
 class TestBootstrapScore:
@@ -83,8 +56,8 @@ class TestBootstrapScore:
         data = random_dataset(rng, 40, 3)
         fitted = fit_mle(data)
         weights = sample_weights(RandomStream(22).derive("w", 0), 40)
-        rep = solve_bootstrap(data, fitted, weights)
-        value = bootstrap_score(rep.beta_star, data, fitted.beta_hat, weights)
+        beta_star = solve_replicate(data, fitted.beta_hat, weights)
+        value = bootstrap_score(beta_star, data, fitted.beta_hat, weights)
         assert np.max(np.abs(value)) <= 40 * 1e-10
 
 
@@ -93,8 +66,8 @@ class TestSolveBootstrap:
         rng = np.random.default_rng(23)
         data = random_dataset(rng, 35, 2)
         fitted = fit_mle(data)
-        rep = solve_bootstrap(data, fitted, np.full(35, MU))
-        assert np.max(np.abs(rep.beta_star - fitted.beta_hat)) <= 10 * 1e-10
+        beta_star = solve_replicate(data, fitted.beta_hat, np.full(35, MU))
+        assert np.max(np.abs(beta_star - fitted.beta_hat)) <= 10 * 1e-10
 
     @pytest.mark.parametrize("trial", range(20))
     def test_degenerate_identity_many_datasets(self, trial):
@@ -103,13 +76,13 @@ class TestSolveBootstrap:
         p = int(rng.integers(1, 4))
         data = random_dataset(rng, n, p)
         fitted = fit_mle(data)
-        rep = solve_bootstrap(data, fitted, np.full(n, MU))
-        assert np.max(np.abs(rep.beta_star - fitted.beta_hat)) <= 10 * 1e-10
+        beta_star = solve_replicate(data, fitted.beta_hat, np.full(n, MU))
+        assert np.max(np.abs(beta_star - fitted.beta_hat)) <= 10 * 1e-10
 
     def test_hand_case_ln3(self):
         data, fitted = hand_case()
-        rep = solve_bootstrap(data, fitted, np.array([0.5, 0.25]))
-        assert rep.beta_star[0] == pytest.approx(np.log(3.0), abs=1e-8)
+        beta_star = solve_replicate(data, fitted.beta_hat, np.array([0.5, 0.25]))
+        assert beta_star[0] == pytest.approx(np.log(3.0), abs=1e-8)
 
     @pytest.mark.parametrize("trial", range(10))
     def test_bisection_oracle_1d(self, trial):
@@ -117,7 +90,7 @@ class TestSolveBootstrap:
         data = random_dataset(rng, 20, 1)
         fitted = fit_mle(data)
         weights = sample_weights(RandomStream(7100 + trial).derive("w", 0), 20)
-        rep = solve_bootstrap(data, fitted, weights)
+        beta_star = solve_replicate(data, fitted.beta_hat, weights)
 
         def equation(v):
             return float(bootstrap_score(np.array([v]), data, fitted.beta_hat, weights)[0])
@@ -131,14 +104,7 @@ class TestSolveBootstrap:
                 hi = mid
             else:
                 lo = mid
-        assert rep.beta_star[0] == pytest.approx(0.5 * (lo + hi), abs=1e-8)
-
-    def test_weights_digest(self):
-        data, fitted = hand_case()
-        weights = np.array([0.5, 0.25])
-        rep = solve_bootstrap(data, fitted, weights)
-        nu = (weights - MU) / MU
-        assert rep.weights_digest == (pytest.approx(nu.sum()), pytest.approx(np.dot(nu, nu)))
+        assert beta_star[0] == pytest.approx(0.5 * (lo + hi), abs=1e-8)
 
     def test_reproducible_from_seed(self):
         rng = np.random.default_rng(25)
@@ -146,6 +112,6 @@ class TestSolveBootstrap:
         fitted = fit_mle(data)
         w1 = sample_weights(RandomStream(9).derive("boot", 4), 30)
         w2 = sample_weights(RandomStream(9).derive("boot", 4), 30)
-        a = solve_bootstrap(data, fitted, w1).beta_star
-        b = solve_bootstrap(data, fitted, w2).beta_star
+        a = solve_replicate(data, fitted.beta_hat, w1)
+        b = solve_replicate(data, fitted.beta_hat, w2)
         assert np.array_equal(a, b)
