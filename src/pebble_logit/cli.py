@@ -45,8 +45,6 @@ _boot_options = [
     click.option("--bn", type=float, default=None, help="Smoothing bandwidth override."),
     click.option("--dvar", default=None,
                  help="Jitter variance override: one value or a comma list."),
-    click.option("--threads", default=1, show_default=True,
-                 help="Replicate threads."),
 ]
 
 
@@ -127,7 +125,7 @@ def fit(data_path, response, intercept, out):
     emit_report(report, out)
 
 
-def _run_ensemble(data_path, response, intercept, level, boot, seed, bn, dvar, threads):
+def _run_ensemble(data_path, response, intercept, level, boot, seed, bn, dvar):
     alpha = _alpha_from_level(level)
     seed_value = _parse_seed_opt(seed)
     if boot < 100:
@@ -136,7 +134,7 @@ def _run_ensemble(data_path, response, intercept, level, boot, seed, bn, dvar, t
     fitted = fit_mle(data)
     stream = RandomStream(seed_value)
     cfg = _smoothing(data, bn, dvar, stream)
-    ensemble = run_pebble(data, fitted, boot, cfg, stream, threads=threads)
+    ensemble = run_pebble(data, fitted, boot, cfg, stream)
     config = {
         "data": data_path, "response": response, "intercept": intercept,
         "level": level, "alpha": alpha, "boot": boot, "seed": seed_value,
@@ -149,10 +147,10 @@ def _run_ensemble(data_path, response, intercept, level, boot, seed, bn, dvar, t
 @_add(_data_options)
 @_add(_boot_options)
 @click.option("--out", default=None, help="Output JSON path (default stdout).")
-def ci(data_path, response, intercept, level, boot, seed, bn, dvar, threads, out):
+def ci(data_path, response, intercept, level, boot, seed, bn, dvar, out):
     """Bootstrap confidence intervals for every coefficient."""
     data, fitted, cfg, ensemble, alpha, config = _run_ensemble(
-        data_path, response, intercept, level, boot, seed, bn, dvar, threads
+        data_path, response, intercept, level, boot, seed, bn, dvar
     )
     iv = make_intervals(fitted, ensemble, alpha, cfg, data.n)
     niv = normal_intervals(fitted, alpha, data.n)
@@ -172,10 +170,10 @@ def ci(data_path, response, intercept, level, boot, seed, bn, dvar, threads, out
 @_add(_data_options)
 @_add(_boot_options)
 @click.option("--out", default=None, help="Output JSON path (default stdout).")
-def region(data_path, response, intercept, level, boot, seed, bn, dvar, threads, out):
+def region(data_path, response, intercept, level, boot, seed, bn, dvar, out):
     """Bootstrap confidence-region radius for the coefficient vector."""
     data, fitted, cfg, ensemble, alpha, config = _run_ensemble(
-        data_path, response, intercept, level, boot, seed, bn, dvar, threads
+        data_path, response, intercept, level, boot, seed, bn, dvar
     )
     iv = make_intervals(fitted, ensemble, alpha, cfg, data.n)
     config["command"] = "region"

@@ -6,9 +6,9 @@ entry, positive definiteness is checked against a relative eigenvalue
 floor, and every matrix output is explicitly symmetrized so mirrored
 entries compare bitwise equal.
 
-Inverse, square root and inverse square root go through the symmetric
-eigendecomposition (LAPACK ``eigh``): the pivot computations need the
-unique symmetric PSD square root, which the factorization gives directly.
+Inverse and inverse square root go through the symmetric eigendecomposition
+(LAPACK ``eigh``): the pivot computations need the unique symmetric PD
+inverse square root, which the factorization gives directly.
 """
 
 from __future__ import annotations
@@ -52,23 +52,10 @@ def sym_inverse(a: np.ndarray) -> np.ndarray:
     return symmetrize((u / w) @ u.T)
 
 
-def sym_sqrt(a: np.ndarray) -> np.ndarray:
-    """Unique symmetric PD square root: r with r @ r = a."""
-    w, u = _spd_eigh(a)
-    return symmetrize((u * np.sqrt(w)) @ u.T)
-
-
 def sym_inv_sqrt(a: np.ndarray) -> np.ndarray:
     """Unique symmetric PD inverse square root: r with r @ a @ r = identity."""
     w, u = _spd_eigh(a)
     return symmetrize((u / np.sqrt(w)) @ u.T)
-
-
-def cholesky_lower(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L @ L' = a, for symmetric PD a."""
-    s = symmetrize(a)
-    _spd_eigh(s)
-    return np.linalg.cholesky(s)
 
 
 def mvn_diag_sample(stream, d_var) -> np.ndarray:

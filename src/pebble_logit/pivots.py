@@ -1,7 +1,6 @@
-"""Studentized pivots, plain and smoothed, on both sides of the bootstrap.
+"""Smoothed studentized pivots on both sides of the bootstrap.
 
-The normal-approximation pivot is ``sqrt(n) L̂^{1/2} (β̂ - β0)``. The
-smoothed data-side pivot adds an independent Gaussian jitter to defeat the
+The data-side pivot adds an independent Gaussian jitter to defeat the
 lattice structure of binary-response sums:
 
     Ȟ  = M̂^{-1/2} [ sqrt(n) L̂ (β̂ - β0) + b Z ],        Z ~ N(0, D)
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import sym_inv_sqrt, sym_inverse, sym_sqrt, symmetrize
+from .linalg import sym_inv_sqrt, sym_inverse, symmetrize
 from .model import info_matrix
 from .solver import FittedModel
 
@@ -79,12 +78,6 @@ class PivotBundle:
     h_check: np.ndarray
     h_norm: float
     coord_pivots: np.ndarray
-
-
-def pivot_normal(fitted: FittedModel, beta0, n: int) -> np.ndarray:
-    """sqrt(n) L̂^{1/2} (β̂ - β0); approximately N(0, I) under the model."""
-    delta = fitted.beta_hat - np.asarray(beta0, dtype=float)
-    return np.sqrt(n) * (sym_sqrt(fitted.l_hat) @ delta)
 
 
 def pivot_smoothed(fitted: FittedModel, beta0, n: int, cfg: SmoothingConfig) -> PivotBundle:

@@ -23,7 +23,7 @@ from scipy.special import expit
 
 from .errors import SeparationError, SingularMatrixError
 from .linalg import sym_inverse, symmetrize
-from .model import Dataset, info_matrix, predict_probs, sandwich_mid
+from .model import Dataset, info_matrix, sandwich_mid
 
 # Convergence tolerance on the max-norm of the mean gradient.
 _TOL = 1e-10
@@ -131,10 +131,10 @@ def _newton_lin(x, lin, start):
 def fit_mle(data: Dataset) -> FittedModel:
     """Solve the score equation from a zero start and package the fit."""
     beta, iterations, score_norm = _newton_lin(data.x, data.x.T @ data.y, np.zeros(data.p))
-    # A score that underflows to "converged" while every observation sits
-    # essentially on its fitted label means the data are perfectly
-    # classified: the true MLE is at infinity.
-    if float(np.abs(data.y - predict_probs(beta, data.x)).max()) <= 1e-8:
+    # A β̂ that puts every row strictly on its own side, (2y - 1) x'β̂ > 0,
+    # separates the data itself, so no finite MLE exists; the score only
+    # underflowed to "converged" far out along that direction.
+    if np.all((2.0 * data.y - 1.0) * (data.x @ beta) > 0.0):
         raise SeparationError(
             "data are perfectly classified; the MLE diverges (complete separation)"
         )

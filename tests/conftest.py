@@ -1,12 +1,15 @@
-"""Shared test helpers: random SPD matrices, random datasets, plain-formula
-oracles of the logistic model, a finite-difference helper, entry points to
-the replicate kernel, and the smoothed-pivot distributional check reused by
-the acceptance suite."""
+"""Shared test helpers: the derandomized hypothesis profile, random SPD
+matrices, random datasets and a strategy for non-separated ones,
+plain-formula oracles of the logistic model, a finite-difference helper,
+entry points to the replicate kernel, and the smoothed-pivot distributional
+check reused by the acceptance suite."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 from pebble_logit import Dataset, RandomStream, SmoothingConfig, fit_mle
@@ -17,6 +20,10 @@ from pebble_logit.pivots import _star_bundle, default_bn, default_d_var, pivot_s
 from pebble_logit.simulation import Scenario, generate_dataset
 
 MU = DEFAULT_WEIGHTS.mu
+
+# Every property test replays the same examples on every run.
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 
 def predict_prob(beta, x_row) -> float:
@@ -90,6 +97,19 @@ def random_dataset(rng: np.random.Generator, n: int, p: int, scale: float = 1.0)
         y = (rng.random(n) < probs).astype(float)
         if 0.0 < y.sum() < n:
             return Dataset(x=x, y=y)
+
+
+@st.composite
+def overlapped_data(draw):
+    """Arbitrary rows and labels plus each unit vector once with y = 0 and
+    once with y = 1. The unit pairs span R^p, so no direction separates
+    the data and the MLE is finite."""
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 60))
+    x = draw(arrays(float, (n, p), elements=st.floats(-3.0, 3.0)))
+    y = draw(arrays(float, n, elements=st.sampled_from([0.0, 1.0])))
+    eye = np.eye(p)
+    return Dataset(x=np.vstack([x, eye, eye]), y=np.concatenate([y, np.zeros(p), np.ones(p)]))
 
 
 def grid_mle_1d(x: np.ndarray, y: np.ndarray, lo=-10.0, hi=10.0, step=1e-4) -> float:

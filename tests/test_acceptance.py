@@ -24,6 +24,7 @@ from pebble_logit import (
     Scenario,
     SmoothingConfig,
     fit_mle,
+    inference,
     run_coverage_study,
     run_pebble,
 )
@@ -255,7 +256,7 @@ class TestCriterion5:
             assert quantile(samples, alpha) == np.sort(samples)[k - 1]
         report("5f", True, "nearest-rank quantile equals sort oracle on 1000 vectors")
 
-    def test_thread_invariant_ensemble(self):
+    def test_thread_invariant_ensemble(self, monkeypatch):
         rng = np.random.default_rng(ACCEPT_SEED + 5)
         data = random_dataset(rng, 100, 3)
         fitted = fit_mle(data)
@@ -265,8 +266,10 @@ class TestCriterion5:
             d_var=default_d_var(3),
             z_original=mvn_diag_sample(stream.derive("smooth", 0), default_d_var(3)),
         )
-        one = run_pebble(data, fitted, 300, cfg, RandomStream(77), threads=1)
-        eight = run_pebble(data, fitted, 300, cfg, RandomStream(77), threads=8)
+        monkeypatch.setattr(inference, "_replicate_threads", lambda n: 1)
+        one = run_pebble(data, fitted, 300, cfg, RandomStream(77))
+        monkeypatch.setattr(inference, "_replicate_threads", lambda n: 8)
+        eight = run_pebble(data, fitted, 300, cfg, RandomStream(77))
         ok = (np.array_equal(one.coord_pivots, eight.coord_pivots)
               and np.array_equal(one.h_norms, eight.h_norms)
               and np.array_equal(one.beta_stars, eight.beta_stars)

@@ -1,22 +1,39 @@
+import itertools
+import math
+import os
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pebble_logit import (
     Dataset,
     EmptySampleError,
     FittedModel,
     RandomStream,
+    SeparationError,
     SmoothingConfig,
+    TooManyFailuresError,
     fit_mle,
+    inference,
     make_intervals,
     normal_intervals,
     run_pebble,
 )
-from pebble_logit.inference import BootstrapEnsemble, quantile, region_contains
+from pebble_logit.inference import (
+    MAX_FAILURE_RATE,
+    BootstrapEnsemble,
+    _replicate_threads,
+    quantile,
+    region_contains,
+)
 from pebble_logit.perturb import DEFAULT_WEIGHTS
 from pebble_logit.pivots import default_bn, default_d_var
 from pebble_logit.linalg import mvn_diag_sample
-from conftest import random_dataset, solve_replicate, star_bundle
+from conftest import overlapped_data, random_dataset, solve_replicate, star_bundle
 
 
 class TestQuantile:
@@ -79,13 +96,59 @@ class TestRunPebble:
         assert np.array_equal(a.beta_stars, b.beta_stars)
         assert a.failed_replicates == b.failed_replicates
 
-    def test_thread_count_bit_identical(self):
+    def test_thread_count_bit_identical(self, monkeypatch):
         data, fitted, stream, cfg = small_problem()
-        a = run_pebble(data, fitted, 300, cfg, RandomStream(7), threads=1)
-        b = run_pebble(data, fitted, 300, cfg, RandomStream(7), threads=8)
+        monkeypatch.setattr(inference, "_replicate_threads", lambda n: 1)
+        a = run_pebble(data, fitted, 300, cfg, RandomStream(7))
+        monkeypatch.setattr(inference, "_replicate_threads", lambda n: 8)
+        b = run_pebble(data, fitted, 300, cfg, RandomStream(7))
         assert np.array_equal(a.coord_pivots, b.coord_pivots)
         assert np.array_equal(a.h_norms, b.h_norms)
         assert np.array_equal(a.beta_stars, b.beta_stars)
+
+    @settings(max_examples=40)
+    @given(overlapped_data(), st.integers(1, 8), st.integers(100, 250))
+    def test_schedule_invariant_ensemble(self, data, threads, b):
+        fitted = fit_mle(data)
+        cfg = make_cfg(data.n, data.p, RandomStream(3))
+
+        def outcome(k):
+            # The ensemble's bytes, or the failure message (with its count)
+            # when too many replicates fail, as on about half of these
+            # small adversarial datasets; neither may depend on k.
+            with mock.patch.object(inference, "_replicate_threads", lambda n: k):
+                try:
+                    e = run_pebble(data, fitted, b, cfg, RandomStream(11))
+                except TooManyFailuresError as exc:
+                    return str(exc)
+            return (e.coord_pivots.tobytes(), e.h_norms.tobytes(),
+                    e.beta_stars.tobytes(), e.failed_replicates)
+
+        assert outcome(threads) == outcome(1)
+
+    @pytest.mark.parametrize("b", [100, 300])
+    @pytest.mark.parametrize("at_limit", [False, True])
+    def test_failure_share_boundary(self, monkeypatch, b, at_limit):
+        # The run aborts once failed/b reaches MAX_FAILURE_RATE.
+        data, fitted, _, cfg = small_problem()
+        limit = math.ceil(MAX_FAILURE_RATE * b)
+        failing = limit if at_limit else limit - 1
+        solve = inference._solve_replicate
+        calls = itertools.count()
+
+        def flaky(*args):
+            # n = 80 runs the replicates in order on one thread, so the first
+            # 2 * failing calls are both tries of the first `failing` replicates.
+            if next(calls) < 2 * failing:
+                raise SeparationError("forced")
+            return solve(*args)
+
+        monkeypatch.setattr(inference, "_solve_replicate", flaky)
+        if at_limit:
+            with pytest.raises(TooManyFailuresError):
+                run_pebble(data, fitted, b, cfg, RandomStream(8))
+        else:
+            assert run_pebble(data, fitted, b, cfg, RandomStream(8)).failed_replicates == failing
 
     def test_int_seed_equivalent_to_stream(self):
         data, fitted, _, cfg = small_problem()
@@ -117,6 +180,17 @@ class TestRunPebble:
         cfg = make_cfg(200, 2, stream)
         ensemble = run_pebble(data, fitted, 2000, cfg, stream)
         assert np.all(np.abs(ensemble.coord_pivots.mean(axis=0)) <= 0.1)
+
+
+class TestReplicateThreads:
+    @pytest.mark.parametrize("n, expected", [(1999, 1), (2000, 3), (10**6, 3)])
+    def test_rule(self, monkeypatch, n, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert _replicate_threads(n) == expected
+
+    def test_pool_worker_gets_one(self):
+        with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn")) as pool:
+            assert pool.submit(_replicate_threads, 10**6).result(timeout=120) == 1
 
 
 class TestMakeIntervals:

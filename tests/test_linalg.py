@@ -7,7 +7,7 @@ from pebble_logit import (
     SingularMatrixError,
     mvn_diag_sample,
 )
-from pebble_logit.linalg import cholesky_lower, sym_inv_sqrt, sym_inverse, sym_sqrt
+from pebble_logit.linalg import sym_inv_sqrt, sym_inverse
 from conftest import random_spd
 
 
@@ -39,20 +39,6 @@ class TestSymInverse:
             sym_inverse(np.diag([1.0, -1.0]))
 
 
-class TestSymSqrt:
-    def test_identity(self):
-        assert np.allclose(sym_sqrt(np.eye(2)), np.eye(2), atol=1e-14)
-
-    def test_diagonal(self):
-        assert np.allclose(sym_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(12)
-        a = random_spd(rng, 5)
-        r = sym_sqrt(a)
-        assert max_abs(r @ r - a) <= 1e-10
-
-
 class TestSymInvSqrt:
     def test_identity(self):
         assert np.allclose(sym_inv_sqrt(np.eye(2)), np.eye(2), atol=1e-14)
@@ -78,7 +64,6 @@ class TestInvariants:
         a = random_spd(rng, dim, cond=float(rng.uniform(2, 1e4)))
         isq = sym_inv_sqrt(a)
         assert max_abs(isq @ a @ isq - np.eye(dim)) <= 1e-8
-        assert max_abs(sym_sqrt(a) @ isq - np.eye(dim)) <= 1e-8
         assert max_abs(sym_inverse(a) - isq @ isq) <= 1e-8
 
     def test_extreme_condition_number(self):
@@ -87,36 +72,12 @@ class TestInvariants:
         isq = sym_inv_sqrt(a)
         assert max_abs(isq @ a @ isq - np.eye(6)) <= 1e-8
 
-    @pytest.mark.parametrize("op", [sym_inverse, sym_sqrt, sym_inv_sqrt])
+    @pytest.mark.parametrize("op", [sym_inverse, sym_inv_sqrt])
     def test_outputs_exactly_symmetric(self, op):
         rng = np.random.default_rng(21)
         a = random_spd(rng, 5)
         r = op(a)
         assert np.array_equal(r, r.T)
-
-
-class TestCholesky:
-    def test_identity(self):
-        assert np.allclose(cholesky_lower(np.eye(2)), np.eye(2), atol=1e-14)
-
-    def test_closed_form_2x2(self):
-        a = np.array([[1.0, 0.5], [0.5, 1.0]])
-        expected = np.array([[1.0, 0.0], [0.5, np.sqrt(0.75)]])
-        assert np.allclose(cholesky_lower(a), expected, atol=1e-14)
-
-    def test_diagonal(self):
-        assert np.allclose(cholesky_lower(np.diag([4.0])), np.diag([2.0]), atol=1e-14)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(14)
-        a = random_spd(rng, 6)
-        low = cholesky_lower(a)
-        assert max_abs(low @ low.T - a) <= 1e-10
-        assert np.allclose(low, np.tril(low))
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            cholesky_lower(np.zeros((2, 2)))
 
 
 class TestMvnDiagSample:

@@ -11,7 +11,7 @@ from pebble_logit import (
     fit_mle,
 )
 from pebble_logit.perturb import DEFAULT_WEIGHTS
-from pebble_logit.pivots import default_bn, default_d_var, pivot_normal, pivot_smoothed
+from pebble_logit.pivots import default_bn, default_d_var, pivot_smoothed
 from conftest import solve_replicate, star_bundle
 
 
@@ -71,24 +71,6 @@ class TestSmoothingConfig:
         z = np.array([0.3, -1.2])
         cfg = SmoothingConfig(bn=0.2, d_var=np.full(2, 0.25), z_original=z)
         assert np.array_equal(cfg.z_original, z)
-
-
-class TestPivotNormal:
-    def test_centering(self):
-        fit = synthetic_fit([0.5, -1.0], np.eye(2), np.eye(2))
-        assert np.allclose(pivot_normal(fit, fit.beta_hat, 50), np.zeros(2), atol=1e-15)
-
-    def test_linearity(self):
-        fit = synthetic_fit([1.0, 2.0], [[2.0, 0.3], [0.3, 1.0]], np.eye(2))
-        beta0 = np.array([0.5, 1.5])
-        base = pivot_normal(fit, beta0, 30)
-        # moving beta_hat so the difference triples must triple the pivot
-        tripled = synthetic_fit(beta0 + 3.0 * (fit.beta_hat - beta0), fit.l_hat, fit.m_hat)
-        assert np.allclose(pivot_normal(tripled, beta0, 30), 3.0 * base, rtol=1e-12)
-
-    def test_hand_case(self):
-        fit = synthetic_fit([1.0], [[0.25]], [[1.0]])
-        assert pivot_normal(fit, np.zeros(1), 4)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPivotSmoothed:

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from pebble_logit import RandomStream, Scenario, run_coverage_study
+from pebble_logit import (
+    RandomStream,
+    Scenario,
+    TooManyFailuresError,
+    fit_mle,
+    normal_intervals,
+    run_coverage_study,
+    simulation,
+)
+from pebble_logit.inference import BootstrapEnsemble
 from pebble_logit.simulation import BETA_POOL, _aggregate, generate_dataset
 
 
@@ -114,3 +123,48 @@ class TestRunCoverageStudy:
     def test_identical_reports_same_seed(self):
         scn = Scenario(n=50, p=2, reps=3, boot=100, alpha=0.1, seed=9)
         assert run_coverage_study(scn).as_dict() == run_coverage_study(scn).as_dict()
+
+    @pytest.mark.parametrize("dropped", [0, 1])
+    def test_dropped_share_boundary(self, monkeypatch, dropped):
+        # 1 of 20 is exactly MAX_EXPERIMENT_FAILURE_RATE, so it aborts.
+        scn = Scenario(n=100, p=2, reps=20, boot=100, alpha=0.1, seed=31)
+        run = simulation._run_experiment
+        monkeypatch.setattr(
+            simulation, "_run_experiment", lambda s, e: None if e < dropped else run(s, e)
+        )
+        if dropped:
+            with pytest.raises(TooManyFailuresError):
+                run_coverage_study(scn)
+        else:
+            assert run_coverage_study(scn).failed_experiments == 0
+
+
+class TestNormalRegion:
+    @pytest.mark.parametrize("n, p", [(100, 3), (200, 8)])
+    def test_matches_eigh_oracle(self, monkeypatch, n, p):
+        # ||sqrt(n) L̂^{1/2} (β̂ - β)|| <= radius with L̂^{1/2} from eigh, on
+        # 100 harness fits each; the bootstrap is stubbed out, since only
+        # the Wald region indicator is checked.
+        def no_bootstrap(data, fitted, b, cfg, seed):
+            return BootstrapEnsemble(
+                coord_pivots=np.zeros((1, p)), h_norms=np.zeros(1),
+                beta_stars=np.zeros((1, p)), failed_replicates=0, b=b, seed=0,
+                smoothing=cfg,
+            )
+
+        monkeypatch.setattr(simulation, "run_pebble", no_bootstrap)
+        scn = Scenario(n=n, p=p, reps=100, boot=100, alpha=0.1, seed=41)
+        master = RandomStream(scn.seed)
+        seen = []
+        for e in range(scn.reps):
+            out = simulation._run_experiment(scn, e)
+            if out is None:
+                continue
+            data, beta_true, _ = generate_dataset(scn, e, master.derive("experiment", e))
+            fitted = fit_mle(data)
+            w, u = np.linalg.eigh(fitted.l_hat)
+            pivot = np.sqrt(n) * ((u * np.sqrt(w)) @ u.T) @ (fitted.beta_hat - beta_true)
+            radius = normal_intervals(fitted, scn.alpha, n).region_radius
+            assert out["normal"]["region"] == bool(np.linalg.norm(pivot) <= radius)
+            seen.append(out["normal"]["region"])
+        assert len(seen) >= 95 and 0 < sum(seen) < len(seen)

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis import given
 from scipy.special import expit
 
 from pebble_logit import Dataset, SeparationError, fit_mle, solver
 from pebble_logit.model import predict_probs
 from pebble_logit.solver import _newton_lin
-from conftest import grid_mle_1d, log_likelihood, random_dataset, replicate_pieces, score
+from conftest import (
+    grid_mle_1d,
+    log_likelihood,
+    overlapped_data,
+    random_dataset,
+    replicate_pieces,
+    score,
+)
 
 
 def fit_weighted_equation(data, beta_anchor, offset):
@@ -85,6 +91,15 @@ class TestFitMle:
         with pytest.raises(SeparationError):
             fit_mle(Dataset(x=x, y=y))
 
+    @pytest.mark.parametrize("seed", [1470, 1963, 2337, 2345, 2379, 2851])
+    def test_strictly_classifying_fit_raises(self, seed):
+        # Separated data whose Newton iterate stopped with a smallest margin
+        # (2y - 1)x'β̂ near 18, where |y - p̂| is just above 1e-8.
+        rng = np.random.default_rng(seed)
+        data = random_dataset(rng, rng.integers(20, 81), rng.integers(1, 5))
+        with pytest.raises(SeparationError):
+            fit_mle(data)
+
     def test_monotone_ascent_trace(self, monkeypatch):
         rng = np.random.default_rng(6)
         for _ in range(10):
@@ -109,21 +124,7 @@ class TestFitMle:
             )
 
 
-@st.composite
-def overlapped_data(draw):
-    """Arbitrary rows and labels plus each unit vector once with y = 0 and
-    once with y = 1. The unit pairs span R^p, so no direction separates
-    the data and the MLE is finite."""
-    p = draw(st.integers(1, 4))
-    n = draw(st.integers(0, 60))
-    x = draw(arrays(float, (n, p), elements=st.floats(-3.0, 3.0)))
-    y = draw(arrays(float, n, elements=st.sampled_from([0.0, 1.0])))
-    eye = np.eye(p)
-    return Dataset(x=np.vstack([x, eye, eye]), y=np.concatenate([y, np.zeros(p), np.ones(p)]))
-
-
 class TestLabelFlip:
-    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(overlapped_data())
     def test_flipped_response_negates_beta(self, data):
         fitted = fit_mle(data)
