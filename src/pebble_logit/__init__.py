@@ -5,8 +5,9 @@ the data and bootstrap sides, and inverts their bootstrap quantiles into
 second-order-accurate confidence intervals and regions, alongside the
 usual normal-approximation baseline and a Monte Carlo coverage harness.
 
-The public API is what an analysis needs: fit, smoothing set-up,
-bootstrap ensemble, intervals, the coverage harness and the error types.
+The public API is what an analysis needs: fit, bootstrap ensemble (which
+carries its smoothing), intervals, the coverage harness and the error
+types.
 Everything else lives in the submodules.
 """
 
@@ -32,9 +33,8 @@ from .inference import (
     normal_intervals,
     run_pebble,
 )
-from .linalg import mvn_diag_sample
 from .model import Dataset
-from .pivots import SmoothingConfig, default_bn, default_d_var
+from .pivots import SmoothingConfig
 from .rng import RandomStream
 from .simulation import CoverageReport, Scenario, run_coverage_study
 from .solver import FittedModel, fit_mle
@@ -63,11 +63,8 @@ __all__ = [
     "SmoothingConfig",
     "TooManyFailuresError",
     "UsageError",
-    "default_bn",
-    "default_d_var",
     "fit_mle",
     "make_intervals",
-    "mvn_diag_sample",
     "normal_intervals",
     "run_coverage_study",
     "run_pebble",

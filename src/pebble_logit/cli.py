@@ -12,14 +12,11 @@ from __future__ import annotations
 import sys
 
 import click
-import numpy as np
 
 from .dataio import emit_report, load_csv
 from .errors import PebbleError, UsageError
 from .inference import make_intervals, normal_intervals, run_pebble
-from .linalg import mvn_diag_sample
-from .pivots import SmoothingConfig, default_bn, default_d_var
-from .rng import RandomStream, parse_seed
+from .rng import parse_seed
 from .simulation import Scenario, run_coverage_study
 from .solver import fit_mle
 
@@ -68,9 +65,9 @@ def _parse_seed_opt(seed: str) -> int:
         raise UsageError(f"--seed {seed!r} is not a decimal or 0x-hex integer") from None
 
 
-def _parse_dvar(dvar: str | None, p: int) -> np.ndarray:
+def _parse_dvar(dvar: str | None, p: int) -> list[float] | None:
     if dvar is None:
-        return default_d_var(p)
+        return None
     try:
         values = [float(v) for v in dvar.split(",")]
     except ValueError:
@@ -81,17 +78,7 @@ def _parse_dvar(dvar: str | None, p: int) -> np.ndarray:
         raise UsageError(f"--dvar needs 1 or {p} values, got {len(values)}")
     if any(v <= 0 for v in values):
         raise UsageError("--dvar values must be > 0")
-    return np.asarray(values)
-
-
-def _smoothing(data, bn, dvar, stream) -> SmoothingConfig:
-    n, p = data.n, data.p
-    bandwidth = bn if bn is not None else default_bn(n, p)
-    if bandwidth <= 0:
-        raise UsageError(f"--bn must be > 0, got {bandwidth}")
-    d_var = _parse_dvar(dvar, p)
-    z = mvn_diag_sample(stream.derive("smooth", 0), d_var)
-    return SmoothingConfig(bn=bandwidth, d_var=d_var, z_original=z)
+    return values
 
 
 def _interval_entries(iv, columns):
@@ -132,15 +119,16 @@ def _run_ensemble(data_path, response, intercept, level, boot, seed, bn, dvar):
         raise UsageError(f"--boot must be >= 100, got {boot}")
     data = load_csv(data_path, response, intercept)
     fitted = fit_mle(data)
-    stream = RandomStream(seed_value)
-    cfg = _smoothing(data, bn, dvar, stream)
-    ensemble = run_pebble(data, fitted, boot, cfg, stream)
+    if bn is not None and bn <= 0:
+        raise UsageError(f"--bn must be > 0, got {bn}")
+    ensemble = run_pebble(data, fitted, boot, seed_value, bn, _parse_dvar(dvar, data.p))
     config = {
         "data": data_path, "response": response, "intercept": intercept,
         "level": level, "alpha": alpha, "boot": boot, "seed": seed_value,
-        "bn": cfg.bn, "d_var": cfg.d_var, "n": data.n, "p": data.p,
+        "bn": ensemble.smoothing.bn, "d_var": ensemble.smoothing.d_var,
+        "n": data.n, "p": data.p,
     }
-    return data, fitted, cfg, ensemble, alpha, config
+    return data, fitted, ensemble, alpha, config
 
 
 @cli.command()
@@ -149,11 +137,11 @@ def _run_ensemble(data_path, response, intercept, level, boot, seed, bn, dvar):
 @click.option("--out", default=None, help="Output JSON path (default stdout).")
 def ci(data_path, response, intercept, level, boot, seed, bn, dvar, out):
     """Bootstrap confidence intervals for every coefficient."""
-    data, fitted, cfg, ensemble, alpha, config = _run_ensemble(
+    data, fitted, ensemble, alpha, config = _run_ensemble(
         data_path, response, intercept, level, boot, seed, bn, dvar
     )
-    iv = make_intervals(fitted, ensemble, alpha, cfg, data.n)
-    niv = normal_intervals(fitted, alpha, data.n)
+    iv = make_intervals(fitted, ensemble, alpha)
+    niv = normal_intervals(fitted, alpha)
     config["command"] = "ci"
     report = {
         "beta_hat": fitted.beta_hat,
@@ -172,15 +160,15 @@ def ci(data_path, response, intercept, level, boot, seed, bn, dvar, out):
 @click.option("--out", default=None, help="Output JSON path (default stdout).")
 def region(data_path, response, intercept, level, boot, seed, bn, dvar, out):
     """Bootstrap confidence-region radius for the coefficient vector."""
-    data, fitted, cfg, ensemble, alpha, config = _run_ensemble(
+    data, fitted, ensemble, alpha, config = _run_ensemble(
         data_path, response, intercept, level, boot, seed, bn, dvar
     )
-    iv = make_intervals(fitted, ensemble, alpha, cfg, data.n)
+    iv = make_intervals(fitted, ensemble, alpha)
     config["command"] = "region"
     report = {
         "beta_hat": fitted.beta_hat,
         "region_radius": iv.region_radius,
-        "normal_region_radius": normal_intervals(fitted, alpha, data.n).region_radius,
+        "normal_region_radius": normal_intervals(fitted, alpha).region_radius,
         "config": config,
         "failed_replicates": ensemble.failed_replicates,
     }

@@ -1,11 +1,14 @@
 """Bootstrap ensembles, quantiles, and confidence sets.
 
-``run_pebble`` drives B perturbation-bootstrap replicates. Replicate r
-draws its weights and its jitter Z* from the substream ``("boot", r)`` of
-the stream it is given, so the ensemble is a deterministic function of
-(data, seed, B) no matter how the replicates are scheduled; a replicate
-that fails to solve is retried once with fresh weights from its own
-substream and then counted out.
+``run_pebble`` drives B perturbation-bootstrap replicates. It first draws
+the data-side jitter Z, once per run, through ``pivots.draw_smoothing``
+(substream ``smooth``, index 0, of the stream it is given) and keeps it
+on the ensemble, since every interval endpoint reuses it. Replicate r
+draws its weights and its jitter Z* from the substream ``("boot", r)``,
+so the ensemble is a deterministic function of (data, seed, B) no matter
+how the replicates are scheduled; a replicate that fails to solve is
+retried once with fresh weights from its own substream and then counted
+out.
 
 Interval endpoints follow the percentile-t construction: for coordinate j
 with sandwich scale s_j = Σ̂_jj^{1/2} and bootstrap coordinate-pivot
@@ -33,7 +36,7 @@ from scipy.special import chdtri, expit, ndtri
 from .errors import EmptySampleError, SeparationError, SingularMatrixError, TooManyFailuresError
 from .model import Dataset
 from .perturb import DEFAULT_WEIGHTS, _solve_replicate
-from .pivots import SmoothingConfig, _star_bundle, pivot_smoothed
+from .pivots import SmoothingConfig, _star_bundle, draw_smoothing, pivot_smoothed
 from .rng import RandomStream, ScratchStream
 from .solver import FittedModel
 
@@ -103,18 +106,22 @@ def run_pebble(
     data: Dataset,
     fitted: FittedModel,
     b: int,
-    cfg: SmoothingConfig,
     seed,
+    bn: float | None = None,
+    d_var=None,
 ) -> BootstrapEnsemble:
     """Run b bootstrap replicates and collect their pivot statistics.
 
     ``seed`` may be an integer or a RandomStream; replicate r always uses
-    the substream ("boot", r) of it, at any thread count. Raises
+    the substream ("boot", r) of it, at any thread count. ``bn`` and
+    ``d_var`` override the default smoothing bandwidth and jitter variances;
+    the smoothing drawn is kept as ``ensemble.smoothing``. Raises
     TooManyFailuresError when ``MAX_FAILURE_RATE`` of b or more fail.
     """
     if b < MIN_BOOTSTRAP:
         raise ValueError(f"need at least {MIN_BOOTSTRAP} bootstrap replicates, got {b}")
     stream = seed if isinstance(seed, RandomStream) else RandomStream(int(seed))
+    cfg = draw_smoothing(stream, data.n, data.p, bn, d_var)
     x, y = data.x, data.y
     n, p = data.n, data.p
     beta_hat = fitted.beta_hat
@@ -122,7 +129,6 @@ def run_pebble(
     lin0 = x.T @ p_hat
     s = x * (y - p_hat)[:, None]
     mu = DEFAULT_WEIGHTS.mu
-    bn = cfg.bn
     sqrt_d = np.sqrt(cfg.d_var)
 
     coord = np.empty((b, p))
@@ -149,7 +155,7 @@ def run_pebble(
                 continue
             z_star = gen.standard_normal(p) * sqrt_d
             try:
-                bundle = _star_bundle(x, s, beta_hat, beta_star, nu, bn, z_star)
+                bundle = _star_bundle(x, s, beta_hat, beta_star, nu, cfg.bn, z_star)
             except SingularMatrixError:
                 continue
             coord[r] = bundle.coord_pivots
@@ -181,17 +187,12 @@ def run_pebble(
     )
 
 
-def make_intervals(
-    fitted: FittedModel,
-    ensemble: BootstrapEnsemble,
-    alpha: float,
-    cfg: SmoothingConfig,
-    n: int,
-) -> IntervalSet:
+def make_intervals(fitted: FittedModel, ensemble: BootstrapEnsemble, alpha: float) -> IntervalSet:
     """Percentile-t intervals for every coordinate plus the region radius."""
+    cfg = ensemble.smoothing
     beta_hat = fitted.beta_hat
     p = beta_hat.shape[0]
-    sqn = np.sqrt(n)
+    sqn = np.sqrt(fitted.n)
     sj = np.sqrt(np.diag(fitted.sigma_hat))
     corr = cfg.bn * (fitted.l_hat_inv @ cfg.z_original) / sj
     two_sided = np.empty((p, 2))
@@ -213,25 +214,18 @@ def make_intervals(
     )
 
 
-def region_contains(
-    beta0,
-    fitted: FittedModel,
-    ensemble: BootstrapEnsemble,
-    alpha: float,
-    cfg: SmoothingConfig,
-    n: int,
-) -> bool:
+def region_contains(beta0, fitted: FittedModel, ensemble: BootstrapEnsemble, alpha: float) -> bool:
     """Is beta0 inside the (1-alpha) confidence region?"""
-    bundle = pivot_smoothed(fitted, beta0, n, cfg)
+    bundle = pivot_smoothed(fitted, beta0, ensemble.smoothing)
     return bool(bundle.h_norm <= quantile(ensemble.h_norms, 1 - alpha))
 
 
-def normal_intervals(fitted: FittedModel, alpha: float, n: int) -> IntervalSet:
+def normal_intervals(fitted: FittedModel, alpha: float) -> IntervalSet:
     """Wald baseline: information-based standard errors and a chi-square
     region radius for the L̂^{1/2}-studentized pivot."""
     beta_hat = fitted.beta_hat
     p = beta_hat.shape[0]
-    se = np.sqrt(np.diag(fitted.l_hat_inv) / n)
+    se = np.sqrt(np.diag(fitted.l_hat_inv) / fitted.n)
     z_two = float(ndtri(1 - alpha / 2))
     z_one = float(ndtri(1 - alpha))
     two_sided = np.column_stack([beta_hat - z_two * se, beta_hat + z_two * se])

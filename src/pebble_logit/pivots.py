@@ -16,9 +16,9 @@ jitter through L^{-1}:
 
     Ȟ_j = [ sqrt(n)(β̂_j - β0_j) + b (L̂^{-1} Z)_j ] / Σ̂_jj^{1/2}
 
-One Z is drawn per inference run and persisted in the smoothing
-configuration, because the confidence-interval endpoints reuse the same
-realized draw; one Z* is drawn per replicate.
+One Z is drawn per inference run, by :func:`draw_smoothing`, and persisted
+in the smoothing configuration, because the confidence-interval endpoints
+reuse the same realized draw; one Z* is drawn per replicate.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import sym_inv_sqrt, sym_inverse, symmetrize
+from .linalg import mvn_diag_sample, sym_inv_sqrt, sym_inverse, symmetrize
 from .model import info_matrix
+from .rng import RandomStream
 from .solver import FittedModel
 
 
@@ -73,6 +74,18 @@ class SmoothingConfig:
             raise ValueError("z_original must match d_var in length")
 
 
+def draw_smoothing(
+    stream: RandomStream, n: int, p: int, bn: float | None = None, d_var=None
+) -> SmoothingConfig:
+    """The smoothing of one inference run: ``bn`` and ``d_var`` default to
+    :func:`default_bn` and :func:`default_d_var`, and Z ~ N(0, diag(d_var))
+    is drawn from the substream ``smooth``, index 0, of ``stream``."""
+    bn = default_bn(n, p) if bn is None else bn
+    d_var = default_d_var(p) if d_var is None else d_var
+    z = mvn_diag_sample(stream.derive("smooth", 0), d_var)
+    return SmoothingConfig(bn=bn, d_var=d_var, z_original=z)
+
+
 @dataclass(frozen=True)
 class PivotBundle:
     h_check: np.ndarray
@@ -80,15 +93,12 @@ class PivotBundle:
     coord_pivots: np.ndarray
 
 
-def pivot_smoothed(fitted: FittedModel, beta0, n: int, cfg: SmoothingConfig) -> PivotBundle:
+def pivot_smoothed(fitted: FittedModel, beta0, cfg: SmoothingConfig) -> PivotBundle:
     """Data-side smoothed pivot bundle at the hypothesized beta0."""
     delta = fitted.beta_hat - np.asarray(beta0, dtype=float)
     m_inv_sqrt = sym_inv_sqrt(fitted.m_hat)
-    h = m_inv_sqrt @ (np.sqrt(n) * (fitted.l_hat @ delta) + cfg.bn * cfg.z_original)
-    coord = _coord_pivots(
-        delta, fitted.l_hat_inv @ cfg.z_original, np.diag(fitted.sigma_hat), n, cfg.bn
-    )
-    return PivotBundle(h_check=h, h_norm=float(np.linalg.norm(h)), coord_pivots=coord)
+    return _bundle(delta, fitted.l_hat, fitted.l_hat_inv, m_inv_sqrt, fitted.sigma_hat,
+                   fitted.n, cfg.bn, cfg.z_original)
 
 
 def _star_bundle(x, s, beta_hat, beta_star, nu, bn, z_star) -> PivotBundle:
@@ -103,11 +113,13 @@ def _star_bundle(x, s, beta_hat, beta_star, nu, bn, z_star) -> PivotBundle:
     m_inv_sqrt = sym_inv_sqrt(m_star)  # raises SingularMatrixError on degenerate weights
     l_star_inv = sym_inverse(l_star)
     sigma_star = l_star_inv @ m_star @ l_star_inv
-    delta = beta_star - beta_hat
-    h = m_inv_sqrt @ (np.sqrt(n) * (l_star @ delta) + bn * z_star)
-    coord = _coord_pivots(delta, l_star_inv @ z_star, np.diag(sigma_star), n, bn)
+    return _bundle(beta_star - beta_hat, l_star, l_star_inv, m_inv_sqrt, sigma_star,
+                   n, bn, z_star)
+
+
+def _bundle(delta, l, l_inv, m_inv_sqrt, sigma, n, bn, z) -> PivotBundle:
+    """Ȟ and the coordinate pivots from one side's matrices, as in the
+    module docstring."""
+    h = m_inv_sqrt @ (np.sqrt(n) * (l @ delta) + bn * z)
+    coord = (np.sqrt(n) * delta + bn * (l_inv @ z)) / np.sqrt(np.diag(sigma))
     return PivotBundle(h_check=h, h_norm=float(np.linalg.norm(h)), coord_pivots=coord)
-
-
-def _coord_pivots(delta, l_inv_z, sigma_diag, n, bn) -> np.ndarray:
-    return (np.sqrt(n) * delta + bn * l_inv_z) / np.sqrt(sigma_diag)

@@ -60,10 +60,6 @@ class RandomStream:
             self._generator = np.random.Generator(np.random.Philox(key=key))
         return self._generator
 
-    def next_uniform(self) -> float:
-        """One uniform draw in [0, 1)."""
-        return float(self.generator.random())
-
     def uniforms(self, size) -> np.ndarray:
         return self.generator.random(size)
 

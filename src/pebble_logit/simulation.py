@@ -10,8 +10,8 @@ methods; the report aggregates them into the usual table layout (region,
 min-|beta| coordinate, max-|beta| coordinate, coordinate average).
 
 Experiment e draws everything from the substream ("experiment", e) of the
-master seed - data from ("data", attempt), the jitter from ("smooth", 0),
-replicate r from ("boot", r) - so any single experiment can be replayed in
+master seed - data from ("data", attempt), and the jitter and replicates
+inside ``run_pebble`` - so any single experiment can be replayed in
 isolation, and the report is identical for any worker count.
 """
 
@@ -29,10 +29,8 @@ from .errors import (
     SeparationError,
     TooManyFailuresError,
 )
-from .linalg import mvn_diag_sample
 from .model import Dataset
 from .inference import make_intervals, normal_intervals, region_contains, run_pebble
-from .pivots import SmoothingConfig, default_bn, default_d_var
 from .rng import RandomStream
 from .solver import fit_mle
 
@@ -166,27 +164,22 @@ def _run_experiment(scn: Scenario, e: int):
     (separation at the fit, or a too-lossy ensemble)."""
     exp = RandomStream(scn.seed).derive("experiment", e)
     data, beta_true, retries = generate_dataset(scn, e, exp)
-    n, p = scn.n, scn.p
     try:
         fitted = fit_mle(data)
     except SeparationError:
         return None
-    bn = default_bn(n, p)
-    d_var = default_d_var(p)
-    z = mvn_diag_sample(exp.derive("smooth", 0), d_var)
-    cfg = SmoothingConfig(bn=bn, d_var=d_var, z_original=z)
     try:
-        ensemble = run_pebble(data, fitted, scn.boot, cfg, exp)
+        ensemble = run_pebble(data, fitted, scn.boot, exp)
         out = {"retries": retries, "boot_failures": ensemble.failed_replicates}
-        iv = make_intervals(fitted, ensemble, scn.alpha, cfg, n)
+        iv = make_intervals(fitted, ensemble, scn.alpha)
         out["pebble"] = _indicators(
-            iv, beta_true,
-            region=region_contains(beta_true, fitted, ensemble, scn.alpha, cfg, n),
+            iv, beta_true, region=region_contains(beta_true, fitted, ensemble, scn.alpha)
         )
-        niv = normal_intervals(fitted, scn.alpha, n)
+        niv = normal_intervals(fitted, scn.alpha)
         d = fitted.beta_hat - beta_true  # ||sqrt(n) L̂^{1/2} d|| = sqrt(n d'L̂d)
         out["normal"] = _indicators(
-            niv, beta_true, region=bool(np.sqrt(n * (d @ fitted.l_hat @ d)) <= niv.region_radius)
+            niv, beta_true,
+            region=bool(np.sqrt(scn.n * (d @ fitted.l_hat @ d)) <= niv.region_radius),
         )
     except NumericError:
         # TooManyFailures from the ensemble, or a singular pivot matrix on

@@ -16,6 +16,7 @@ Hessian, or exhausting the iteration budget all signal separation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,8 @@ class FittedModel:
 
     sigma_hat is the sandwich ``l_hat^{-1} m_hat l_hat^{-1}``; l_hat_inv is
     kept because the smoothing correction of every confidence interval
-    reuses it.
+    reuses it, and n (the number of observations) because every pivot
+    scales by sqrt(n).
     """
 
     beta_hat: np.ndarray
@@ -62,6 +64,7 @@ class FittedModel:
     l_hat_inv: np.ndarray
     iterations: int
     final_score_norm: float
+    n: int
 
 
 def _newton_lin(x, lin, start):
@@ -91,11 +94,13 @@ def _newton_lin(x, lin, start):
         hess = x.T @ (x * w[:, None])
         try:
             step = np.linalg.solve(hess, g)
+            step_norm = float(np.abs(step).max())
         except np.linalg.LinAlgError:
-            raise SeparationError(
-                "singular information matrix during Newton iteration"
-            ) from None
-        step_norm = float(np.abs(step).max())
+            step_norm = math.nan
+        # A nearly singular Hessian can also give an infinite step, which the
+        # step cap below would turn into NaN trial points.
+        if not math.isfinite(step_norm):
+            raise SeparationError("singular information matrix during Newton iteration")
         cap = max(_STEP_CAP, 2.0 * float(np.abs(t).max()))
         if step_norm > cap:
             step = step * (cap / step_norm)
@@ -156,4 +161,5 @@ def fit_mle(data: Dataset) -> FittedModel:
         l_hat_inv=l_inv,
         iterations=iterations,
         final_score_norm=score_norm,
+        n=data.n,
     )

@@ -12,11 +12,10 @@ from hypothesis import settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
-from pebble_logit import Dataset, RandomStream, SmoothingConfig, fit_mle
+from pebble_logit import Dataset, RandomStream, fit_mle
 from pebble_logit.errors import SeparationError
-from pebble_logit.linalg import mvn_diag_sample
 from pebble_logit.perturb import DEFAULT_WEIGHTS, _solve_replicate
-from pebble_logit.pivots import _star_bundle, default_bn, default_d_var, pivot_smoothed
+from pebble_logit.pivots import _star_bundle, draw_smoothing, pivot_smoothed
 from pebble_logit.simulation import Scenario, generate_dataset
 
 MU = DEFAULT_WEIGHTS.mu
@@ -130,8 +129,6 @@ def smoothed_pivot_sample(n=200, p=2, datasets=2000, seed=5150) -> np.ndarray:
     one jitter draw each, with the default smoothing."""
     scn = Scenario(n=n, p=p, reps=1, boot=100, alpha=0.1, seed=seed)
     master = RandomStream(seed)
-    bn = default_bn(n, p)
-    d = default_d_var(p)
     pivots = []
     for e in range(datasets):
         exp = master.derive("experiment", e)
@@ -140,9 +137,8 @@ def smoothed_pivot_sample(n=200, p=2, datasets=2000, seed=5150) -> np.ndarray:
             fitted = fit_mle(data)
         except SeparationError:
             continue
-        z = mvn_diag_sample(exp.derive("smooth", 0), d)
-        cfg = SmoothingConfig(bn=bn, d_var=d, z_original=z)
-        pivots.append(pivot_smoothed(fitted, beta_true, n, cfg).coord_pivots)
+        cfg = draw_smoothing(exp, n, p)
+        pivots.append(pivot_smoothed(fitted, beta_true, cfg).coord_pivots)
     return np.array(pivots)
 
 

@@ -22,7 +22,6 @@ import pytest
 from pebble_logit import (
     RandomStream,
     Scenario,
-    SmoothingConfig,
     fit_mle,
     inference,
     run_coverage_study,
@@ -30,10 +29,9 @@ from pebble_logit import (
 )
 from pebble_logit.dataio import load_csv
 from pebble_logit.inference import quantile
-from pebble_logit.linalg import mvn_diag_sample, sym_inv_sqrt
+from pebble_logit.linalg import sym_inv_sqrt
 from pebble_logit.model import info_matrix
 from pebble_logit.perturb import DEFAULT_WEIGHTS
-from pebble_logit.pivots import default_bn, default_d_var
 from conftest import (
     central_differences,
     grid_mle_1d,
@@ -260,16 +258,10 @@ class TestCriterion5:
         rng = np.random.default_rng(ACCEPT_SEED + 5)
         data = random_dataset(rng, 100, 3)
         fitted = fit_mle(data)
-        stream = RandomStream(ACCEPT_SEED)
-        cfg = SmoothingConfig(
-            bn=default_bn(100, 3),
-            d_var=default_d_var(3),
-            z_original=mvn_diag_sample(stream.derive("smooth", 0), default_d_var(3)),
-        )
         monkeypatch.setattr(inference, "_replicate_threads", lambda n: 1)
-        one = run_pebble(data, fitted, 300, cfg, RandomStream(77))
+        one = run_pebble(data, fitted, 300, RandomStream(77))
         monkeypatch.setattr(inference, "_replicate_threads", lambda n: 8)
-        eight = run_pebble(data, fitted, 300, cfg, RandomStream(77))
+        eight = run_pebble(data, fitted, 300, RandomStream(77))
         ok = (np.array_equal(one.coord_pivots, eight.coord_pivots)
               and np.array_equal(one.h_norms, eight.h_norms)
               and np.array_equal(one.beta_stars, eight.beta_stars)

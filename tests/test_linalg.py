@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from pebble_logit import (
-    NonPositiveVarianceError,
-    RandomStream,
-    SingularMatrixError,
-    mvn_diag_sample,
-)
-from pebble_logit.linalg import sym_inv_sqrt, sym_inverse
+from pebble_logit import NonPositiveVarianceError, RandomStream, SingularMatrixError
+from pebble_logit.linalg import mvn_diag_sample, sym_inv_sqrt, sym_inverse
 from conftest import random_spd
 
 

@@ -15,7 +15,7 @@ from pebble_logit.pivots import default_bn, default_d_var, pivot_smoothed
 from conftest import solve_replicate, star_bundle
 
 
-def synthetic_fit(beta_hat, l_hat, m_hat, sigma_hat=None):
+def synthetic_fit(beta_hat, l_hat, m_hat, n, sigma_hat=None):
     l_hat = np.asarray(l_hat, dtype=float)
     m_hat = np.asarray(m_hat, dtype=float)
     l_inv = np.linalg.inv(l_hat)
@@ -29,6 +29,7 @@ def synthetic_fit(beta_hat, l_hat, m_hat, sigma_hat=None):
         l_hat_inv=l_inv,
         iterations=1,
         final_score_norm=0.0,
+        n=n,
     )
 
 
@@ -76,32 +77,32 @@ class TestSmoothingConfig:
 class TestPivotSmoothed:
     def test_hand_case(self):
         # sigma=4, l_inv=2, bn=0.5, Z=1, n=4, delta=0.3 -> coord pivot 0.8
-        fit = synthetic_fit([0.3], [[0.5]], [[1.0]], sigma_hat=[[4.0]])
+        fit = synthetic_fit([0.3], [[0.5]], [[1.0]], 4, sigma_hat=[[4.0]])
         cfg = SmoothingConfig(bn=0.5, d_var=np.array([0.25]), z_original=np.array([1.0]))
-        bundle = pivot_smoothed(fit, np.zeros(1), 4, cfg)
+        bundle = pivot_smoothed(fit, np.zeros(1), cfg)
         assert bundle.coord_pivots[0] == pytest.approx(0.8, abs=1e-12)
 
     def test_zero_at_truth_with_zero_draw(self):
-        fit = synthetic_fit([0.4, -0.2], np.eye(2) * 0.3, np.eye(2) * 0.2)
+        fit = synthetic_fit([0.4, -0.2], np.eye(2) * 0.3, np.eye(2) * 0.2, 100)
         cfg = SmoothingConfig(bn=0.3, d_var=np.full(2, 0.25), z_original=np.zeros(2))
-        bundle = pivot_smoothed(fit, fit.beta_hat, 100, cfg)
+        bundle = pivot_smoothed(fit, fit.beta_hat, cfg)
         assert np.all(bundle.h_check == 0.0)
         assert bundle.h_norm == 0.0
         assert np.all(bundle.coord_pivots == 0.0)
 
     def test_norm_matches_vector(self):
         rng = np.random.default_rng(31)
-        fit = synthetic_fit(rng.normal(size=3), np.eye(3) * 0.5, np.eye(3) * 0.4)
+        fit = synthetic_fit(rng.normal(size=3), np.eye(3) * 0.5, np.eye(3) * 0.4, 64)
         cfg = SmoothingConfig(bn=0.2, d_var=np.full(3, 0.25), z_original=rng.normal(size=3))
-        bundle = pivot_smoothed(fit, np.zeros(3), 64, cfg)
+        bundle = pivot_smoothed(fit, np.zeros(3), cfg)
         assert bundle.h_norm == pytest.approx(np.linalg.norm(bundle.h_check), rel=1e-15)
 
     def test_bn_zero_limit_is_sandwich_t(self):
         rng = np.random.default_rng(32)
-        fit = synthetic_fit(rng.normal(size=2), np.eye(2) * 0.4, np.eye(2) * 0.3)
+        fit = synthetic_fit(rng.normal(size=2), np.eye(2) * 0.4, np.eye(2) * 0.3, 49)
         cfg = SmoothingConfig(bn=1e-14, d_var=np.full(2, 0.25), z_original=rng.normal(size=2))
         beta0 = np.zeros(2)
-        bundle = pivot_smoothed(fit, beta0, 49, cfg)
+        bundle = pivot_smoothed(fit, beta0, cfg)
         classic = 7.0 * (fit.beta_hat - beta0) / np.sqrt(np.diag(fit.sigma_hat))
         assert np.allclose(bundle.coord_pivots, classic, atol=1e-10)
 
@@ -110,9 +111,9 @@ class TestPivotSmoothed:
         # the j-th vector-pivot component
         a = np.array([0.5, 0.25, 0.125])
         m = np.array([0.4, 0.9, 0.2])
-        fit = synthetic_fit([0.3, -0.7, 1.1], np.diag(a), np.diag(m))
+        fit = synthetic_fit([0.3, -0.7, 1.1], np.diag(a), np.diag(m), 81)
         cfg = SmoothingConfig(bn=0.3, d_var=np.full(3, 0.25), z_original=np.zeros(3))
-        bundle = pivot_smoothed(fit, np.zeros(3), 81, cfg)
+        bundle = pivot_smoothed(fit, np.zeros(3), cfg)
         assert np.allclose(bundle.coord_pivots, bundle.h_check, atol=1e-10)
 
 

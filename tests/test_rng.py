@@ -37,14 +37,14 @@ def test_sibling_streams_no_collisions():
 
 def test_index_changes_stream():
     s = RandomStream(3)
-    assert s.derive("x", 0).next_uniform() != s.derive("x", 1).next_uniform()
+    assert s.derive("x", 0).generator.random() != s.derive("x", 1).generator.random()
 
 
 def test_nested_paths_differ():
     s = RandomStream(1)
     a = s.derive("experiment", 2).derive("boot", 3)
     b = s.derive("experiment", 3).derive("boot", 2)
-    assert a.next_uniform() != b.next_uniform()
+    assert a.generator.random() != b.generator.random()
 
 
 def test_uniform_range_and_moments():

@@ -11,6 +11,7 @@ from pebble_logit import (
     simulation,
 )
 from pebble_logit.inference import BootstrapEnsemble
+from pebble_logit.pivots import draw_smoothing
 from pebble_logit.simulation import BETA_POOL, _aggregate, generate_dataset
 
 
@@ -145,11 +146,11 @@ class TestNormalRegion:
         # ||sqrt(n) L̂^{1/2} (β̂ - β)|| <= radius with L̂^{1/2} from eigh, on
         # 100 harness fits each; the bootstrap is stubbed out, since only
         # the Wald region indicator is checked.
-        def no_bootstrap(data, fitted, b, cfg, seed):
+        def no_bootstrap(data, fitted, b, seed):
             return BootstrapEnsemble(
                 coord_pivots=np.zeros((1, p)), h_norms=np.zeros(1),
                 beta_stars=np.zeros((1, p)), failed_replicates=0, b=b, seed=0,
-                smoothing=cfg,
+                smoothing=draw_smoothing(seed, n, p),
             )
 
         monkeypatch.setattr(simulation, "run_pebble", no_bootstrap)
@@ -164,7 +165,7 @@ class TestNormalRegion:
             fitted = fit_mle(data)
             w, u = np.linalg.eigh(fitted.l_hat)
             pivot = np.sqrt(n) * ((u * np.sqrt(w)) @ u.T) @ (fitted.beta_hat - beta_true)
-            radius = normal_intervals(fitted, scn.alpha, n).region_radius
+            radius = normal_intervals(fitted, scn.alpha).region_radius
             assert out["normal"]["region"] == bool(np.linalg.norm(pivot) <= radius)
             seen.append(out["normal"]["region"])
         assert len(seen) >= 95 and 0 < sum(seen) < len(seen)
