@@ -18,7 +18,6 @@ from .errors import (
     InvalidDataError,
     MissingColumnError,
     NonBinaryResponseError,
-    NonPositiveVarianceError,
     ParseError,
     PebbleError,
     SeparationError,
@@ -53,7 +52,6 @@ __all__ = [
     "InvalidDataError",
     "MissingColumnError",
     "NonBinaryResponseError",
-    "NonPositiveVarianceError",
     "ParseError",
     "PebbleError",
     "RandomStream",

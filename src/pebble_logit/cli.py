@@ -65,20 +65,13 @@ def _parse_seed_opt(seed: str) -> int:
         raise UsageError(f"--seed {seed!r} is not a decimal or 0x-hex integer") from None
 
 
-def _parse_dvar(dvar: str | None, p: int) -> list[float] | None:
+def _parse_dvar(dvar: str | None) -> list[float] | None:
     if dvar is None:
         return None
     try:
-        values = [float(v) for v in dvar.split(",")]
+        return [float(v) for v in dvar.split(",")]
     except ValueError:
         raise UsageError(f"--dvar {dvar!r} is not numeric") from None
-    if len(values) == 1:
-        values = values * p
-    if len(values) != p:
-        raise UsageError(f"--dvar needs 1 or {p} values, got {len(values)}")
-    if any(v <= 0 for v in values):
-        raise UsageError("--dvar values must be > 0")
-    return values
 
 
 def _interval_entries(iv, columns):
@@ -115,13 +108,10 @@ def fit(data_path, response, intercept, out):
 def _run_ensemble(data_path, response, intercept, level, boot, seed, bn, dvar):
     alpha = _alpha_from_level(level)
     seed_value = _parse_seed_opt(seed)
-    if boot < 100:
-        raise UsageError(f"--boot must be >= 100, got {boot}")
+    d_var = _parse_dvar(dvar)
     data = load_csv(data_path, response, intercept)
     fitted = fit_mle(data)
-    if bn is not None and bn <= 0:
-        raise UsageError(f"--bn must be > 0, got {bn}")
-    ensemble = run_pebble(data, fitted, boot, seed_value, bn, _parse_dvar(dvar, data.p))
+    ensemble = run_pebble(data, fitted, boot, seed_value, bn, d_var)
     config = {
         "data": data_path, "response": response, "intercept": intercept,
         "level": level, "alpha": alpha, "boot": boot, "seed": seed_value,
@@ -188,10 +178,7 @@ def simulate(n_obs, n_cov, reps, level, boot, seed, workers, out):
     """Monte Carlo coverage study on synthetic data."""
     alpha = _alpha_from_level(level)
     seed_value = _parse_seed_opt(seed)
-    try:
-        scn = Scenario(n=n_obs, p=n_cov, reps=reps, boot=boot, alpha=alpha, seed=seed_value)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    scn = Scenario(n=n_obs, p=n_cov, reps=reps, boot=boot, alpha=alpha, seed=seed_value)
     report = run_coverage_study(scn, workers=workers)
     emit_report(report.as_dict(), out)
 

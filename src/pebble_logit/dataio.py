@@ -37,6 +37,8 @@ def load_csv(path: str, response: str, intercept: bool = False) -> Dataset:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataIOError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise ParseError(f"{path}: file is empty")
     header = [name.strip() for name in rows[0]]

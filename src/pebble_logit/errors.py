@@ -3,6 +3,11 @@
 Every error carries a short machine-readable ``kind`` (used for the CLI's
 ``ERROR:<kind>:`` prefix) and the exit code of the class of failure it
 belongs to: 2 usage, 3 data, 4 numeric, 5 io.
+
+A bad argument to a library function (a bandwidth or jitter variance that
+is not finite and > 0, too few bootstrap replicates, an alpha or a
+``Scenario`` field out of range) raises :class:`UsageError`, which is also
+a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ class PebbleError(Exception):
     exit_code = 1
 
 
-class UsageError(PebbleError):
+class UsageError(PebbleError, ValueError):
     kind = "usage"
     exit_code = 2
 
@@ -50,10 +55,6 @@ class NumericError(PebbleError):
 
 class SingularMatrixError(NumericError):
     kind = "singular-matrix"
-
-
-class NonPositiveVarianceError(NumericError):
-    kind = "non-positive-variance"
 
 
 class SeparationError(NumericError):

@@ -33,7 +33,13 @@ from multiprocessing import parent_process
 import numpy as np
 from scipy.special import chdtri, expit, ndtri
 
-from .errors import EmptySampleError, SeparationError, SingularMatrixError, TooManyFailuresError
+from .errors import (
+    EmptySampleError,
+    SeparationError,
+    SingularMatrixError,
+    TooManyFailuresError,
+    UsageError,
+)
 from .model import Dataset
 from .perturb import DEFAULT_WEIGHTS, _solve_replicate
 from .pivots import SmoothingConfig, _star_bundle, draw_smoothing, pivot_smoothed
@@ -86,7 +92,7 @@ def quantile(samples, alpha: float) -> float:
     if a.size == 0:
         raise EmptySampleError("cannot take a quantile of an empty sample")
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+        raise UsageError("alpha must lie in (0, 1)")
     k = min(max(int(np.ceil(a.size * alpha)), 1), a.size)
     return float(np.partition(a, k - 1)[k - 1])
 
@@ -116,10 +122,12 @@ def run_pebble(
     the substream ("boot", r) of it, at any thread count. ``bn`` and
     ``d_var`` override the default smoothing bandwidth and jitter variances;
     the smoothing drawn is kept as ``ensemble.smoothing``. Raises
-    TooManyFailuresError when ``MAX_FAILURE_RATE`` of b or more fail.
+    UsageError when b < ``MIN_BOOTSTRAP`` or ``draw_smoothing`` rejects
+    ``bn`` or ``d_var``, and TooManyFailuresError when
+    ``MAX_FAILURE_RATE`` of b or more fail.
     """
     if b < MIN_BOOTSTRAP:
-        raise ValueError(f"need at least {MIN_BOOTSTRAP} bootstrap replicates, got {b}")
+        raise UsageError(f"need at least {MIN_BOOTSTRAP} bootstrap replicates, got {b}")
     stream = seed if isinstance(seed, RandomStream) else RandomStream(int(seed))
     cfg = draw_smoothing(stream, data.n, data.p, bn, d_var)
     x, y = data.x, data.y

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonPositiveVarianceError, SingularMatrixError
+from .errors import SingularMatrixError
 
 # Relative eigenvalue floor below which a matrix is treated as singular.
 EIGEN_FLOOR_SCALE = 1e-12
@@ -57,10 +57,3 @@ def sym_inv_sqrt(a: np.ndarray) -> np.ndarray:
     w, u = _spd_eigh(a)
     return symmetrize((u / np.sqrt(w)) @ u.T)
 
-
-def mvn_diag_sample(stream, d_var) -> np.ndarray:
-    """Draw one N(0, diag(d_var)) vector from the given RandomStream."""
-    d = np.asarray(d_var, dtype=float)
-    if d.ndim != 1 or d.size == 0 or not np.all(d > 0.0):
-        raise NonPositiveVarianceError("all smoothing variances must be > 0")
-    return stream.gaussians(d.size) * np.sqrt(d)

@@ -27,8 +27,8 @@ from .linalg import symmetrize
 class Dataset:
     """Design matrix plus binary response.
 
-    Invariants enforced at construction: n >= p + 1, finite design entries,
-    responses exactly 0 or 1, and a non-constant response vector.
+    Invariants enforced at construction: p >= 1, n >= p + 1, finite design
+    entries, responses exactly 0 or 1, and a non-constant response vector.
     """
 
     x: np.ndarray
@@ -43,6 +43,8 @@ class Dataset:
         n, p = x.shape
         if y.shape[0] != n:
             raise InvalidDataError(f"design has {n} rows but response has {y.shape[0]}")
+        if p < 1:
+            raise InvalidDataError("need at least one covariate column, got none")
         if n < p + 1:
             raise InvalidDataError(f"need n >= p + 1 observations, got n={n}, p={p}")
         if not np.all(np.isfinite(x)):

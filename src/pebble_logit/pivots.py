@@ -23,11 +23,13 @@ reuse the same realized draw; one Z* is drawn per replicate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import mvn_diag_sample, sym_inv_sqrt, sym_inverse, symmetrize
+from .errors import UsageError
+from .linalg import sym_inv_sqrt, sym_inverse, symmetrize
 from .model import info_matrix
 from .rng import RandomStream
 from .solver import FittedModel
@@ -42,7 +44,7 @@ def default_bn(n: int, p: int) -> float:
     above p = 3.
     """
     if n < 2 or p < 1:
-        raise ValueError("need n >= 2 and p >= 1")
+        raise UsageError("need n >= 2 and p >= 1")
     p1 = max(p + 1, 4)
     return 0.5 * float(n) ** (-1.0 / (p1 + 1))
 
@@ -61,29 +63,28 @@ class SmoothingConfig:
     d_var: np.ndarray
     z_original: np.ndarray
 
-    def __post_init__(self):
-        d = np.asarray(self.d_var, dtype=float)
-        z = np.asarray(self.z_original, dtype=float)
-        object.__setattr__(self, "d_var", d)
-        object.__setattr__(self, "z_original", z)
-        if not self.bn > 0.0:
-            raise ValueError("bn must be > 0")
-        if d.ndim != 1 or not np.all(d > 0.0):
-            raise ValueError("d_var must be a positive vector")
-        if z.shape != d.shape:
-            raise ValueError("z_original must match d_var in length")
-
 
 def draw_smoothing(
     stream: RandomStream, n: int, p: int, bn: float | None = None, d_var=None
 ) -> SmoothingConfig:
     """The smoothing of one inference run: ``bn`` and ``d_var`` default to
     :func:`default_bn` and :func:`default_d_var`, and Z ~ N(0, diag(d_var))
-    is drawn from the substream ``smooth``, index 0, of ``stream``."""
+    is drawn from the substream ``smooth``, index 0, of ``stream``.
+
+    Z has a density only for a finite bn > 0 and a positive definite
+    D = diag(d_var), so anything else raises UsageError. A single
+    ``d_var`` value is used for all p coordinates.
+    """
     bn = default_bn(n, p) if bn is None else bn
-    d_var = default_d_var(p) if d_var is None else d_var
-    z = mvn_diag_sample(stream.derive("smooth", 0), d_var)
-    return SmoothingConfig(bn=bn, d_var=d_var, z_original=z)
+    if not (math.isfinite(bn) and bn > 0.0):
+        raise UsageError(f"bn must be finite and > 0, got {bn}")
+    d = default_d_var(p) if d_var is None else np.asarray(d_var, dtype=float)
+    if d.size == 1:
+        d = np.full(p, d.item())
+    if d.shape != (p,) or not np.all(np.isfinite(d) & (d > 0.0)):
+        raise UsageError(f"d_var needs 1 or {p} values, all finite and > 0, got {d_var}")
+    z = stream.derive("smooth", 0).gaussians(p) * np.sqrt(d)
+    return SmoothingConfig(bn=bn, d_var=d, z_original=z)
 
 
 @dataclass(frozen=True)

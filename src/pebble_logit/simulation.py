@@ -28,6 +28,7 @@ from .errors import (
     NumericError,
     SeparationError,
     TooManyFailuresError,
+    UsageError,
 )
 from .model import Dataset
 from .inference import make_intervals, normal_intervals, region_contains, run_pebble
@@ -50,15 +51,15 @@ class Scenario:
 
     def __post_init__(self):
         if not 1 <= self.p <= BETA_POOL.size:
-            raise ValueError(f"p must be in 1..{BETA_POOL.size}")
+            raise UsageError(f"p must be in 1..{BETA_POOL.size}")
         if self.n < self.p + 1:
-            raise ValueError("n must exceed p")
+            raise UsageError("n must exceed p")
         if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+            raise UsageError("reps must be >= 1")
         if self.boot < 100:
-            raise ValueError("boot must be >= 100")
+            raise UsageError("boot must be >= 100")
         if not 0.0 < self.alpha <= 0.5:
-            raise ValueError("alpha must lie in (0, 0.5]")
+            raise UsageError("alpha must lie in (0, 0.5]")
 
     @property
     def beta_true(self) -> np.ndarray:

@@ -1,26 +1,35 @@
+import contextlib
+import inspect
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from pebble_logit.cli import main
 
 
+def _logistic_csv(n, seed, extra=""):
+    """A well-posed two-covariate CSV; ``extra`` is appended to every data
+    row as a constant column named c."""
+    rng = np.random.default_rng(seed)
+    x1, x2 = rng.standard_normal(n), rng.standard_normal(n)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(0.8 * x1 - 0.5 * x2)))).astype(int)
+    header = "x1,x2,y" + (",c" if extra else "")
+    body = "".join(f"{a},{b},{c}{',' + extra if extra else ''}\n" for a, b, c in zip(x1, x2, y))
+    return (header + "\n" + body).encode()
+
+
 @pytest.fixture
 def fixture_csv(tmp_path):
-    rng = np.random.default_rng(4)
-    n = 60
-    x1 = rng.standard_normal(n)
-    x2 = rng.standard_normal(n)
-    logit = 0.8 * x1 - 0.5 * x2
-    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(int)
-    rows = ["x1,x2,y"] + [f"{a},{b},{c}" for a, b, c in zip(x1, x2, y)]
     path = tmp_path / "data.csv"
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    path.write_bytes(_logistic_csv(60, 4))
     return str(path)
 
 
@@ -168,6 +177,113 @@ class TestErrorPaths:
         code = run(["ci", "--data", fixture_csv, "--response", "y", "--seed", "abc"])
         assert code == 2
         assert capsys.readouterr().err.startswith("ERROR:usage:")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--bn", "nan"), ("--bn", "inf"), ("--bn", "-inf"), ("--bn", "0"),
+        ("--dvar", "nan"), ("--dvar", "inf"), ("--dvar", "1e400"), ("--dvar", "0"),
+        ("--dvar", "1,2,3"),
+    ])
+    def test_usage_bad_smoothing(self, fixture_csv, capsys, flag, value):
+        code = run(["ci", "--data", fixture_csv, "--response", "y", "--boot", "100",
+                    flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:usage:")
+        assert err.count("\n") == 1
+
+    def test_data_error_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(b"x1,y\n\xff\xfe,1\n2,0\n3,1\n")
+        code = run(["fit", "--data", str(p), "--response", "y"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:parse:")
+        assert str(p) in err
+
+    def test_data_error_response_only(self, tmp_path, capsys):
+        p = tmp_path / "yonly.csv"
+        p.write_text("y\n1\n0\n1\n0\n", encoding="utf-8")
+        code = run(["fit", "--data", str(p), "--response", "y"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("ERROR:invalid-data:")
+
+
+FUZZ_CSVS = {
+    "ok": _logistic_csv(40, 4),
+    "empty": b"",
+    "header-only": b"x1,x2,y\n",
+    "ragged": b"x1,x2,y\n1,2,0\n3,1\n0,1,1\n",
+    "non-binary": b"x1,y\n1,0\n2,2\n3,1\n",
+    "separated": b"x1,y\n-2,0\n-1,0\n1,1\n2,1\n",
+    "constant-column": _logistic_csv(40, 5, extra="1.5"),
+    "response-only": b"y\n1\n0\n1\n0\n",
+    "not-utf8": b"x1,y\n\xff\xfe,1\n2,0\n3,1\n",
+}
+
+# Values at the edge of each flag's parser: non-finite, negative zero,
+# overflow, hex, empty and wrong-length lists. --boot keeps to a few small
+# values, since B sizes the replicate arrays.
+_EDGE_VALUES = {
+    "--boot": ["", "abc", "-1", "99", "100", "0x64"],
+    "--bn": ["nan", "inf", "-inf", "-0", "0", "1e400", "0x1p-2", "", "1,2"],
+    "--dvar": ["nan", "inf", "-inf", "-0", "1e400", "0x10", "", "0.5,0.25",
+               "0.5,0.25,1", "0.5,0.25,1,2", "1,,2"],
+    "--level": ["nan", "inf", "-0", "1e400", "0x1", "", "0.3", "1"],
+    "--seed": ["nan", "-1", "0x", "", "1e400", "-0", "99999999999999999999999"],
+}
+# Valid values (None leaves the flag out) for the flags not under test.
+_GOOD_VALUES = {
+    "--boot": ["100"],
+    "--bn": [None, "0.2"],
+    "--dvar": [None, "0.5"],
+    "--level": [None, "0.95"],
+    "--seed": [None, "7", "0x1F"],
+}
+_ERROR_LINE = re.compile(r"^ERROR:[a-z-]+:")
+
+
+@st.composite
+def _fuzz_call(draw):
+    """(csv name, argv without --data): at most one input, the CSV or one
+    flag, takes an edge value; the others stay valid, so the successful
+    paths are reached too."""
+    target = draw(st.sampled_from([None, "csv", *sorted(_EDGE_VALUES)]))
+    csv_name = draw(st.sampled_from(sorted(FUZZ_CSVS))) if target == "csv" else "ok"
+    command = draw(st.sampled_from(["fit", "ci", "region"]))
+    args = [command, "--response", "y"]
+    if draw(st.booleans()):
+        args.append("--intercept")
+    if command != "fit":
+        for flag in sorted(_EDGE_VALUES):
+            values = _EDGE_VALUES[flag] if flag == target else _GOOD_VALUES[flag]
+            value = draw(st.sampled_from(values))
+            if value is not None:
+                args += [flag, value]
+    return csv_name, args
+
+
+class TestFuzz:
+    def test_main_catches_no_bare_exception(self):
+        # Otherwise the property below could not see an unhandled failure.
+        assert "except Exception" not in inspect.getsource(main)
+
+    @settings(max_examples=150)
+    @given(call=_fuzz_call())
+    def test_exit_code_and_single_error_line(self, tmp_path_factory, call):
+        csv_name, args = call
+        path = tmp_path_factory.getbasetemp() / f"fuzz-{csv_name}.csv"
+        path.write_bytes(FUZZ_CSVS[csv_name])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args + ["--data", str(path)])
+        event(f"exit {code}")
+        assert code in {0, 2, 3, 4, 5}
+        if code == 0:
+            json.loads(out.getvalue())
+            assert err.getvalue() == ""
+        else:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and _ERROR_LINE.match(lines[0]), err.getvalue()
 
 
 class TestImport:

@@ -21,6 +21,7 @@ from pebble_logit import (
     SeparationError,
     SmoothingConfig,
     TooManyFailuresError,
+    UsageError,
     fit_mle,
     inference,
     make_intervals,
@@ -36,7 +37,6 @@ from pebble_logit.inference import (
 )
 from pebble_logit.perturb import DEFAULT_WEIGHTS
 from pebble_logit.pivots import default_bn, default_d_var
-from pebble_logit.linalg import mvn_diag_sample
 from conftest import overlapped_data, random_dataset, solve_replicate, star_bundle
 
 
@@ -80,6 +80,21 @@ class TestRunPebble:
         data, fitted, stream = small_problem()
         with pytest.raises(ValueError):
             run_pebble(data, fitted, 50, stream)
+
+    def test_usage_error_is_value_error(self):
+        data, fitted, stream = small_problem()
+        assert issubclass(UsageError, ValueError)
+        with pytest.raises(UsageError):
+            run_pebble(data, fitted, 50, stream)
+
+    @pytest.mark.parametrize("bn, d_var", [
+        (0.0, None), (np.nan, None), (np.inf, None),
+        (None, [0.0]), (None, [np.nan]), (None, [np.inf]), (None, [0.25, 0.25, 0.25]),
+    ], ids=["bn-zero", "bn-nan", "bn-inf", "dvar-zero", "dvar-nan", "dvar-inf", "dvar-long"])
+    def test_rejects_bad_smoothing(self, bn, d_var):
+        data, fitted, stream = small_problem()
+        with pytest.raises(UsageError):
+            run_pebble(data, fitted, 100, stream, bn, d_var)
 
     def test_deterministic(self):
         data, fitted, stream = small_problem()
@@ -173,7 +188,7 @@ class TestRunPebble:
             sub = stream.derive("boot", r)
             weights = DEFAULT_WEIGHTS.draw(sub.generator, data.n)
             beta_star = solve_replicate(data, fitted.beta_hat, weights)
-            z_star = mvn_diag_sample(sub, cfg.d_var)
+            z_star = sub.gaussians(data.p) * np.sqrt(cfg.d_var)
             bundle = star_bundle(data, fitted.beta_hat, beta_star, weights, cfg.bn, z_star)
             assert np.array_equal(ensemble.beta_stars[r], beta_star)
             assert np.array_equal(ensemble.coord_pivots[r], bundle.coord_pivots)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pebble_logit import NonPositiveVarianceError, RandomStream, SingularMatrixError
-from pebble_logit.linalg import mvn_diag_sample, sym_inv_sqrt, sym_inverse
+from pebble_logit import SingularMatrixError
+from pebble_logit.linalg import sym_inv_sqrt, sym_inverse
 from conftest import random_spd
 
 
@@ -74,21 +74,3 @@ class TestInvariants:
         r = op(a)
         assert np.array_equal(r, r.T)
 
-
-class TestMvnDiagSample:
-    def test_zero_variance_rejected(self):
-        with pytest.raises(NonPositiveVarianceError):
-            mvn_diag_sample(RandomStream(1).derive("z", 0), np.zeros(3))
-
-    def test_determinism(self):
-        a = mvn_diag_sample(RandomStream(5).derive("z", 0), np.array([1.0]))
-        b = mvn_diag_sample(RandomStream(5).derive("z", 0), np.array([1.0]))
-        assert np.array_equal(a, b)
-
-    def test_moments_quarter_variance(self):
-        draws = np.concatenate([
-            mvn_diag_sample(RandomStream(9).derive("mc", i), np.array([0.25] * 1000))
-            for i in range(1000)
-        ])
-        assert abs(draws.mean()) <= 0.002
-        assert abs(draws.var() - 0.25) <= 0.005

@@ -135,6 +135,11 @@ class TestDataset:
         with pytest.raises(InvalidDataError):
             Dataset(x=np.ones((2, 2)), y=np.array([0.0, 1.0]))
 
+    def test_needs_a_covariate_column(self):
+        # A response-only CSV loads as a design with p = 0.
+        with pytest.raises(InvalidDataError):
+            Dataset(x=np.empty((4, 0)), y=np.array([0.0, 1.0, 1.0, 0.0]))
+
     def test_rejects_non_binary(self):
         with pytest.raises(InvalidDataError):
             Dataset(x=np.ones((3, 1)), y=np.array([0.0, 1.0, 2.0]))

@@ -8,10 +8,11 @@ from pebble_logit import (
     RandomStream,
     SingularMatrixError,
     SmoothingConfig,
+    UsageError,
     fit_mle,
 )
 from pebble_logit.perturb import DEFAULT_WEIGHTS
-from pebble_logit.pivots import default_bn, default_d_var, pivot_smoothed
+from pebble_logit.pivots import default_bn, default_d_var, draw_smoothing, pivot_smoothed
 from conftest import solve_replicate, star_bundle
 
 
@@ -60,18 +61,48 @@ class TestDefaultBn:
 
 
 class TestSmoothingConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SmoothingConfig(bn=0.0, d_var=np.array([0.25]), z_original=np.array([0.0]))
-        with pytest.raises(ValueError):
-            SmoothingConfig(bn=0.5, d_var=np.array([0.0]), z_original=np.array([0.0]))
-        with pytest.raises(ValueError):
-            SmoothingConfig(bn=0.5, d_var=np.array([0.25]), z_original=np.zeros(2))
-
     def test_stores_realized_draw(self):
         z = np.array([0.3, -1.2])
         cfg = SmoothingConfig(bn=0.2, d_var=np.full(2, 0.25), z_original=z)
         assert np.array_equal(cfg.z_original, z)
+
+
+class TestDrawSmoothing:
+    @pytest.mark.parametrize("bn, d_var", [
+        (0.0, None), (-0.0, None), (-1.0, None), (np.nan, None), (np.inf, None),
+        (-np.inf, None),
+        (None, [0.0]), (None, [-0.0]), (None, [np.nan]), (None, [np.inf]),
+        (None, [0.25, 0.0, 0.25]), (None, [0.25, np.nan, 0.25]),
+        (None, [0.25, 0.25]), (None, [0.25] * 4), (None, []),
+    ], ids=[
+        "bn-zero", "bn-neg-zero", "bn-negative", "bn-nan", "bn-inf", "bn-neg-inf",
+        "dvar-zero", "dvar-neg-zero", "dvar-nan", "dvar-inf", "dvar-one-zero",
+        "dvar-one-nan", "dvar-short", "dvar-long", "dvar-empty",
+    ])
+    def test_validation(self, bn, d_var):
+        # Z has a density only for a finite bn > 0 and 1 or p finite,
+        # positive variances.
+        with pytest.raises(UsageError):
+            draw_smoothing(RandomStream(1), 50, 3, bn, d_var)
+
+    def test_single_variance_broadcasts(self):
+        one = draw_smoothing(RandomStream(2), 50, 3, 0.2, [0.5])
+        three = draw_smoothing(RandomStream(2), 50, 3, 0.2, [0.5, 0.5, 0.5])
+        assert np.array_equal(one.d_var, np.full(3, 0.5))
+        assert one.z_original.tobytes() == three.z_original.tobytes()
+
+    def test_determinism(self):
+        a = draw_smoothing(RandomStream(5), 50, 1, d_var=[1.0])
+        b = draw_smoothing(RandomStream(5), 50, 1, d_var=[1.0])
+        assert np.array_equal(a.z_original, b.z_original)
+
+    def test_moments_quarter_variance(self):
+        draws = np.concatenate([
+            draw_smoothing(RandomStream(9).derive("mc", i), 50, 1000).z_original
+            for i in range(1000)
+        ])
+        assert abs(draws.mean()) <= 0.002
+        assert abs(draws.var() - 0.25) <= 0.005
 
 
 class TestPivotSmoothed:
