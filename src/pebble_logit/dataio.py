@@ -10,6 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -110,7 +111,7 @@ def dumps(value, indent: int = 0) -> str:
         parts = [f"{inner}{dumps(val, indent + 1)}" for val in items]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return json.dumps(value, ensure_ascii=False)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if value is None:

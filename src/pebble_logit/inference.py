@@ -179,6 +179,8 @@ def run_pebble(
     else:
         run_chunk(range(b))
 
+    # A replicate whose pivot overflowed fails like one with a singular M*.
+    ok &= np.isfinite(norms) & np.isfinite(coord).all(axis=1)
     failed = int(b - ok.sum())
     if failed / b >= MAX_FAILURE_RATE:
         raise TooManyFailuresError(

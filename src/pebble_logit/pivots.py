@@ -120,7 +120,10 @@ def _star_bundle(x, s, beta_hat, beta_star, nu, bn, z_star) -> PivotBundle:
 
 def _bundle(delta, l, l_inv, m_inv_sqrt, sigma, n, bn, z) -> PivotBundle:
     """Ȟ and the coordinate pivots from one side's matrices, as in the
-    module docstring."""
-    h = m_inv_sqrt @ (np.sqrt(n) * (l @ delta) + bn * z)
-    coord = (np.sqrt(n) * delta + bn * (l_inv @ z)) / np.sqrt(np.diag(sigma))
-    return PivotBundle(h_check=h, h_norm=float(np.linalg.norm(h)), coord_pivots=coord)
+    module docstring. A huge bn can overflow them to inf or nan, which
+    ``run_pebble`` counts as a failed replicate."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = m_inv_sqrt @ (np.sqrt(n) * (l @ delta) + bn * z)
+        coord = (np.sqrt(n) * delta + bn * (l_inv @ z)) / np.sqrt(np.diag(sigma))
+        h_norm = float(np.linalg.norm(h))
+    return PivotBundle(h_check=h, h_norm=h_norm, coord_pivots=coord)

@@ -18,7 +18,7 @@ isolation, and the report is identical for any worker count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -26,7 +26,6 @@ from scipy.special import expit
 from .errors import (
     DegenerateResponseError,
     NumericError,
-    SeparationError,
     TooManyFailuresError,
     UsageError,
 )
@@ -96,80 +95,28 @@ def generate_dataset(scn: Scenario, experiment_index: int, stream: RandomStream)
 
 
 @dataclass(frozen=True)
-class MethodCoverage:
-    """Aggregated coverages (and middle widths) for one method."""
-
-    region_lower: float
-    min_middle: float
-    min_middle_width: float
-    min_upper: float
-    min_lower: float
-    max_middle: float
-    max_middle_width: float
-    max_upper: float
-    max_lower: float
-    avg_middle: float
-    avg_middle_width: float
-    avg_upper: float
-    avg_lower: float
-
-    def as_dict(self) -> dict:
-        return {
-            "beta_lower_region": self.region_lower,
-            "beta_min_middle": self.min_middle,
-            "beta_min_middle_width": self.min_middle_width,
-            "beta_min_upper": self.min_upper,
-            "beta_min_lower": self.min_lower,
-            "beta_max_middle": self.max_middle,
-            "beta_max_middle_width": self.max_middle_width,
-            "beta_max_upper": self.max_upper,
-            "beta_max_lower": self.max_lower,
-            "beta_avg_middle": self.avg_middle,
-            "beta_avg_middle_width": self.avg_middle_width,
-            "beta_avg_upper": self.avg_upper,
-            "beta_avg_lower": self.avg_lower,
-        }
-
-
-@dataclass(frozen=True)
 class CoverageReport:
+    """A study's scenario and counts, with each method's coverage table
+    keyed as in the JSON report (see ``_aggregate``)."""
+
     scenario: Scenario
-    pebble: MethodCoverage
-    normal: MethodCoverage
+    pebble: dict
+    normal: dict
     experiments_used: int
     failed_experiments: int
     degenerate_retries: int
     bootstrap_failures: int
 
     def as_dict(self) -> dict:
-        return {
-            "scenario": {
-                "n": self.scenario.n,
-                "p": self.scenario.p,
-                "reps": self.scenario.reps,
-                "boot": self.scenario.boot,
-                "alpha": self.scenario.alpha,
-                "seed": self.scenario.seed,
-            },
-            "pebble": self.pebble.as_dict(),
-            "normal": self.normal.as_dict(),
-            "experiments_used": self.experiments_used,
-            "failed_experiments": self.failed_experiments,
-            "degenerate_retries": self.degenerate_retries,
-            "bootstrap_failures": self.bootstrap_failures,
-        }
+        return asdict(self)
 
 
 def _run_experiment(scn: Scenario, e: int):
-    """Indicator vectors for one experiment, or None when it fails
-    (separation at the fit, or a too-lossy ensemble)."""
+    """Indicator vectors for one experiment, or None when it fails."""
     exp = RandomStream(scn.seed).derive("experiment", e)
     data, beta_true, retries = generate_dataset(scn, e, exp)
     try:
         fitted = fit_mle(data)
-    except SeparationError:
-        return None
-    try:
         ensemble = run_pebble(data, fitted, scn.boot, exp)
         out = {"retries": retries, "boot_failures": ensemble.failed_replicates}
         iv = make_intervals(fitted, ensemble, scn.alpha)
@@ -183,8 +130,9 @@ def _run_experiment(scn: Scenario, e: int):
             region=bool(np.sqrt(scn.n * (d @ fitted.l_hat @ d)) <= niv.region_radius),
         )
     except NumericError:
-        # TooManyFailures from the ensemble, or a singular pivot matrix on
-        # a near-separated fit: the experiment is dropped and counted.
+        # Separation at the fit, TooManyFailures from the ensemble, or a
+        # singular pivot matrix on a near-separated fit: the experiment is
+        # dropped and counted.
         return None
     return out
 
@@ -193,34 +141,26 @@ def _indicators(iv, beta_true, region: bool) -> dict:
     lo, hi = iv.two_sided[:, 0], iv.two_sided[:, 1]
     return {
         "middle": (lo <= beta_true) & (beta_true <= hi),
-        "width": hi - lo,
+        "middle_width": hi - lo,
         "upper": beta_true <= iv.upper,
         "lower": beta_true >= iv.lower,
         "region": region,
     }
 
 
-def _aggregate(rows: list[dict], jmin: int, jmax: int) -> MethodCoverage:
-    middle = np.array([r["middle"] for r in rows], dtype=float)
-    width = np.array([r["width"] for r in rows], dtype=float)
-    upper = np.array([r["upper"] for r in rows], dtype=float)
-    lower = np.array([r["lower"] for r in rows], dtype=float)
+def _aggregate(rows: list[dict], jmin: int, jmax: int) -> dict:
+    """One method's coverage table, keyed as in the report: the region,
+    then the middle interval, its width and the two one-sided sets for the
+    min-|beta| coordinate, the max-|beta| coordinate and the average over
+    coordinates."""
     region = np.array([r["region"] for r in rows], dtype=float)
-    return MethodCoverage(
-        region_lower=float(region.mean()),
-        min_middle=float(middle[:, jmin].mean()),
-        min_middle_width=float(width[:, jmin].mean()),
-        min_upper=float(upper[:, jmin].mean()),
-        min_lower=float(lower[:, jmin].mean()),
-        max_middle=float(middle[:, jmax].mean()),
-        max_middle_width=float(width[:, jmax].mean()),
-        max_upper=float(upper[:, jmax].mean()),
-        max_lower=float(lower[:, jmax].mean()),
-        avg_middle=float(middle.mean()),
-        avg_middle_width=float(width.mean()),
-        avg_upper=float(upper.mean()),
-        avg_lower=float(lower.mean()),
-    )
+    sets = {k: np.array([r[k] for r in rows], dtype=float)
+            for k in ("middle", "middle_width", "upper", "lower")}
+    table = {"beta_lower_region": float(region.mean())}
+    for label, cols in (("min", jmin), ("max", jmax), ("avg", slice(None))):
+        for key, values in sets.items():
+            table[f"beta_{label}_{key}"] = float(values[:, cols].mean())
+    return table
 
 
 def run_coverage_study(scn: Scenario, workers: int = 1) -> CoverageReport:

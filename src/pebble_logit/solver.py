@@ -84,12 +84,14 @@ def _newton_lin(x, lin, start):
 
     z = x @ t
     obj = objective(t, z)
-    for iteration in range(_MAX_ITER):
+    for iteration in range(_MAX_ITER + 1):
         probs = expit(z)
         g = lin - x.T @ probs
         score_norm = float(np.abs(g).max()) / n
         if score_norm <= _TOL:
             return t, iteration, score_norm
+        if iteration == _MAX_ITER:
+            break
         w = probs * (1.0 - probs)
         hess = x.T @ (x * w[:, None])
         try:
@@ -122,11 +124,6 @@ def _newton_lin(x, lin, start):
                 f"iterate exceeded divergence bound {_DIVERGENCE_NORM:g}; "
                 "data are likely separated"
             )
-    probs = expit(z)
-    g = lin - x.T @ probs
-    score_norm = float(np.abs(g).max()) / n
-    if score_norm <= _TOL:
-        return t, _MAX_ITER, score_norm
     raise SeparationError(
         f"no convergence after {_MAX_ITER} iterations "
         f"(mean score norm {score_norm:.3e}); data are likely separated"

@@ -84,19 +84,22 @@ class TestCriterion1:
 
     def test_table_row_100_3(self, study_100_3):
         pebble = study_100_3.pebble
-        ok_cov = abs(pebble.avg_middle - 0.887) <= 0.03
-        ok_width = abs(pebble.avg_middle_width - 1.35) <= 0.10
-        ok_region = abs(pebble.region_lower - 0.880) <= 0.03
+        cov = pebble["beta_avg_middle"]
+        width = pebble["beta_avg_middle_width"]
+        region = pebble["beta_lower_region"]
+        ok_cov = abs(cov - 0.887) <= 0.03
+        ok_width = abs(width - 1.35) <= 0.10
+        ok_region = abs(region - 0.880) <= 0.03
         report(
             "1",
             ok_cov and ok_width and ok_region,
-            f"avg middle {pebble.avg_middle:.3f} (target 0.887±0.03), "
-            f"width {pebble.avg_middle_width:.3f} (target 1.35±0.10), "
-            f"region {pebble.region_lower:.3f} (target 0.880±0.03)",
+            f"avg middle {cov:.3f} (target 0.887±0.03), "
+            f"width {width:.3f} (target 1.35±0.10), "
+            f"region {region:.3f} (target 0.880±0.03)",
         )
-        assert ok_cov, f"coverage {pebble.avg_middle:.3f} outside 0.887±0.03"
-        assert ok_width, f"width {pebble.avg_middle_width:.3f} outside 1.35±0.10"
-        assert ok_region, f"region {pebble.region_lower:.3f} outside 0.880±0.03"
+        assert ok_cov, f"coverage {cov:.3f} outside 0.887±0.03"
+        assert ok_width, f"width {width:.3f} outside 1.35±0.10"
+        assert ok_region, f"region {region:.3f} outside 0.880±0.03"
 
 
 class TestCriterion2:
@@ -116,8 +119,8 @@ class TestCriterion2:
     """
 
     def test_ordering_gap_200_8(self, study_200_8):
-        pebble = study_200_8.pebble.avg_middle
-        normal = study_200_8.normal.avg_middle
+        pebble = study_200_8.pebble["beta_avg_middle"]
+        normal = study_200_8.normal["beta_avg_middle"]
         nominal = 1.0 - study_200_8.scenario.alpha
         band = mc_band(nominal, study_200_8.experiments_used)
         ok_nominal = abs(pebble - nominal) <= band
@@ -140,9 +143,9 @@ class TestCriterion3:
     """Table row (100,3), Normal baseline: coverage 0.913 +/- 0.03."""
 
     def test_normal_baseline_100_3(self, study_100_3):
-        normal = study_100_3.normal
-        ok = abs(normal.avg_middle - 0.913) <= 0.03
-        report("3", ok, f"Normal avg middle {normal.avg_middle:.3f} (target 0.913±0.03)")
+        normal = study_100_3.normal["beta_avg_middle"]
+        ok = abs(normal - 0.913) <= 0.03
+        report("3", ok, f"Normal avg middle {normal:.3f} (target 0.913±0.03)")
         assert ok
 
 

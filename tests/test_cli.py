@@ -191,6 +191,18 @@ class TestErrorPaths:
         assert err.startswith("ERROR:usage:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--bn", "1e300"), ("--bn", "1.7e308"), ("--dvar", "1e308"),
+    ])
+    def test_numeric_error_overflowing_smoothing(self, fixture_csv, capsys, flag, value):
+        # Finite, so a valid b_n or D, but the replicate pivots overflow.
+        code = run(["ci", "--data", fixture_csv, "--response", "y", "--boot", "100",
+                    flag, value])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:too-many-failures:")
+        assert err.count("\n") == 1
+
     def test_data_error_not_utf8(self, tmp_path, capsys):
         p = tmp_path / "latin.csv"
         p.write_bytes(b"x1,y\n\xff\xfe,1\n2,0\n3,1\n")
@@ -218,6 +230,7 @@ FUZZ_CSVS = {
     "constant-column": _logistic_csv(40, 5, extra="1.5"),
     "response-only": b"y\n1\n0\n1\n0\n",
     "not-utf8": b"x1,y\n\xff\xfe,1\n2,0\n3,1\n",
+    "control-char-header": b'"a\tb",y\n1,0\n2,1\n3,0\n4,1\n',
 }
 
 # Values at the edge of each flag's parser: non-finite, negative zero,
@@ -225,8 +238,9 @@ FUZZ_CSVS = {
 # values, since B sizes the replicate arrays.
 _EDGE_VALUES = {
     "--boot": ["", "abc", "-1", "99", "100", "0x64"],
-    "--bn": ["nan", "inf", "-inf", "-0", "0", "1e400", "0x1p-2", "", "1,2"],
-    "--dvar": ["nan", "inf", "-inf", "-0", "1e400", "0x10", "", "0.5,0.25",
+    "--bn": ["nan", "inf", "-inf", "-0", "0", "1e400", "1e300", "1.7e308", "0x1p-2", "",
+             "1,2"],
+    "--dvar": ["nan", "inf", "-inf", "-0", "1e400", "1e308", "0x10", "", "0.5,0.25",
                "0.5,0.25,1", "0.5,0.25,1,2", "1,,2"],
     "--level": ["nan", "inf", "-0", "1e400", "0x1", "", "0.3", "1"],
     "--seed": ["nan", "-1", "0x", "", "1e400", "-0", "99999999999999999999999"],

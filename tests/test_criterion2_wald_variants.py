@@ -16,6 +16,6 @@ def test_information_column_is_the_harness_normal_coverage(n, p, seed):
     study = run_coverage_study(Scenario(n=n, p=p, reps=reps, boot=100, alpha=ALPHA, seed=seed))
     cov, dropped = wald_coverages(DesignScenario(n=n, p=p, reps=reps, alpha=ALPHA, seed=seed))
     assert study.failed_experiments == 0 and dropped == 0
-    assert cov["information"] == study.normal.avg_middle
+    assert cov["information"] == study.normal["beta_avg_middle"]
     # The datasets tell the variants apart, so the equality above pins the SE.
     assert cov["marginal"] != cov["information"]

@@ -104,6 +104,14 @@ class TestDumps:
         parsed = json.loads(dumps({"s": 'say "hi" \\ bye'}))
         assert parsed["s"] == 'say "hi" \\ bye'
 
+    def test_control_characters_escaped(self):
+        # A CSV header may carry a tab or other control character into the
+        # report; non-ASCII text is written as is.
+        s = "a\tb\nc\x00d\x1fβ"
+        text = dumps({"s": s})
+        assert json.loads(text)["s"] == s
+        assert dumps("β \"q\"") == '"β \\"q\\""'
+
     def test_non_finite_rejected(self):
         with pytest.raises(DataIOError):
             dumps({"bad": float("nan")})

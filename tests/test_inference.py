@@ -96,6 +96,14 @@ class TestRunPebble:
         with pytest.raises(UsageError):
             run_pebble(data, fitted, 100, stream, bn, d_var)
 
+    @pytest.mark.parametrize("bn", [1e300, 1.7e308])
+    def test_overflowing_pivots_fail_replicates(self, bn):
+        # A finite but huge b_n overflows every replicate's pivot: the run
+        # ends in the failure count, with no warning and no inf kept.
+        data, fitted, stream = small_problem()
+        with pytest.raises(TooManyFailuresError, match="100 of 100"):
+            run_pebble(data, fitted, 100, stream, bn)
+
     def test_deterministic(self):
         data, fitted, stream = small_problem()
         a = run_pebble(data, fitted, 200, RandomStream(99))

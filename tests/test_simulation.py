@@ -76,27 +76,31 @@ class TestAggregate:
         rows = [
             {
                 "middle": np.array([True, False, True]),
-                "width": np.array([1.0, 2.0, 3.0]),
+                "middle_width": np.array([1.0, 2.0, 3.0]),
                 "upper": np.array([True, True, False]),
                 "lower": np.array([False, True, True]),
                 "region": True,
             },
             {
                 "middle": np.array([False, False, True]),
-                "width": np.array([3.0, 2.0, 1.0]),
+                "middle_width": np.array([3.0, 2.0, 1.0]),
                 "upper": np.array([True, False, False]),
                 "lower": np.array([True, True, False]),
                 "region": False,
             },
         ]
         agg = _aggregate(rows, jmin=1, jmax=2)
-        assert agg.min_middle == 0.0
-        assert agg.max_middle == 1.0
-        assert agg.min_middle_width == 2.0
-        assert agg.max_middle_width == 2.0
-        assert agg.avg_middle == pytest.approx(3 / 6)
-        assert agg.region_lower == 0.5
-        assert agg.avg_middle_width == pytest.approx(2.0)
+        assert agg["beta_min_middle"] == 0.0
+        assert agg["beta_max_middle"] == 1.0
+        assert agg["beta_min_middle_width"] == 2.0
+        assert agg["beta_max_middle_width"] == 2.0
+        assert agg["beta_avg_middle"] == pytest.approx(3 / 6)
+        assert agg["beta_lower_region"] == 0.5
+        assert agg["beta_avg_middle_width"] == pytest.approx(2.0)
+        assert agg["beta_min_upper"] == 0.5
+        assert agg["beta_max_lower"] == 0.5
+        assert agg["beta_avg_upper"] == pytest.approx(3 / 6)
+        assert agg["beta_avg_lower"] == pytest.approx(4 / 6)
 
 
 class TestRunCoverageStudy:
@@ -114,6 +118,21 @@ class TestRunCoverageStudy:
             else:
                 assert 0.0 <= value <= 1.0
         assert report.experiments_used == 1
+
+    def test_report_layout(self):
+        # The JSON layout of `pebble simulate`, key order included.
+        d = run_coverage_study(Scenario(n=60, p=2, reps=1, boot=100, seed=77)).as_dict()
+        assert list(d) == ["scenario", "pebble", "normal", "experiments_used",
+                           "failed_experiments", "degenerate_retries", "bootstrap_failures"]
+        assert list(d["scenario"]) == ["n", "p", "reps", "boot", "alpha", "seed"]
+        table = [
+            "beta_lower_region",
+            "beta_min_middle", "beta_min_middle_width", "beta_min_upper", "beta_min_lower",
+            "beta_max_middle", "beta_max_middle_width", "beta_max_upper", "beta_max_lower",
+            "beta_avg_middle", "beta_avg_middle_width", "beta_avg_upper", "beta_avg_lower",
+        ]
+        assert list(d["pebble"]) == table
+        assert list(d["normal"]) == table
 
     def test_deterministic_across_workers(self):
         scn = Scenario(n=60, p=2, reps=4, boot=100, alpha=0.1, seed=123)
