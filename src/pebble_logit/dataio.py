@@ -111,6 +111,9 @@ def dumps(value, indent: int = 0) -> str:
         parts = [f"{inner}{dumps(val, indent + 1)}" for val in items]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     if isinstance(value, str):
+        # A path argument that is not UTF-8 arrives with surrogate escapes;
+        # its undecodable bytes are written as backslash escapes.
+        value = value.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
         return json.dumps(value, ensure_ascii=False)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"

@@ -1,14 +1,14 @@
-"""Dense symmetric matrix primitives.
+"""Dense symmetric positive definite matrix primitives.
 
-All routines take and return plain ``float64`` ndarrays. A "symmetric
-matrix" here is a contract, not a wrapper type: inputs are symmetrized on
-entry, positive definiteness is checked against a relative eigenvalue
-floor, and every matrix output is explicitly symmetrized so mirrored
-entries compare bitwise equal.
+Inputs are plain ``float64`` ndarrays, symmetrized on entry; a symmetric
+output is symmetrized again so mirrored entries compare bitwise equal.
+Everything rests on one factorization, the lower Cholesky factor C of
+A = C C': ||A^{-1/2} v|| = ||C^{-1} v|| for every v, and A^{-1} = C^{-T} C^{-1}.
 
-Inverse and inverse square root go through the symmetric eigendecomposition
-(LAPACK ``eigh``): the pivot computations need the unique symmetric PD
-inverse square root, which the factorization gives directly.
+Singularity rule: A is singular when the factorization fails or when
+min_i C_ii^2 <= ``SINGULAR_FLOOR_SCALE`` * max_i A_ii. Each C_ii^2 lies
+between A's smallest and largest eigenvalue, so the floor rejects A only
+when λ_min <= 1e-12 λ_max.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
-# Relative eigenvalue floor below which a matrix is treated as singular.
-EIGEN_FLOOR_SCALE = 1e-12
+SINGULAR_FLOOR_SCALE = 1e-12
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -27,33 +26,26 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def _spd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric positive definite matrix.
-
-    Raises SingularMatrixError when any eigenvalue falls at or below
-    ``EIGEN_FLOOR_SCALE`` times the largest eigenvalue (or times 1 when no
-    eigenvalue is positive).
-    """
+def spd_factor(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor C of a symmetric positive definite matrix,
+    A = C C'. Raises SingularMatrixError under the module's rule."""
     s = symmetrize(a)
-    w, u = np.linalg.eigh(s)
-    lam_max = w[-1]
-    floor = EIGEN_FLOOR_SCALE * (lam_max if lam_max > 0.0 else 1.0)
-    if w[0] <= floor:
+    try:
+        c = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
         raise SingularMatrixError(
-            f"matrix not positive definite: min eigenvalue {w[0]:.3e} "
-            f"<= floor {floor:.3e}"
+            "matrix not positive definite: Cholesky factorization failed"
+        ) from None
+    pivot = float(c.diagonal().min()) ** 2
+    floor = SINGULAR_FLOOR_SCALE * float(s.diagonal().max())
+    if not pivot > floor:
+        raise SingularMatrixError(
+            f"matrix not positive definite: min Cholesky pivot {pivot:.3e} <= floor {floor:.3e}"
         )
-    return w, u
+    return c
 
 
 def sym_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix."""
-    w, u = _spd_eigh(a)
-    return symmetrize((u / w) @ u.T)
-
-
-def sym_inv_sqrt(a: np.ndarray) -> np.ndarray:
-    """Unique symmetric PD inverse square root: r with r @ a @ r = identity."""
-    w, u = _spd_eigh(a)
-    return symmetrize((u / np.sqrt(w)) @ u.T)
-
+    c_inv = np.linalg.inv(spd_factor(a))
+    return symmetrize(c_inv.T @ c_inv)

@@ -19,6 +19,11 @@ jitter through L^{-1}:
 One Z is drawn per inference run, by :func:`draw_smoothing`, and persisted
 in the smoothing configuration, because the confidence-interval endpoints
 reuse the same realized draw; one Z* is drawn per replicate.
+
+The region needs only the norm ||Ȟ||, never the vector. For the Cholesky
+factor M = C C', ||M^{-1/2} v|| = ||C^{-1} v||, so the code evaluates the
+norm as ||C^{-1} v|| and never forms M^{-1/2}; the sandwich diagonal
+Σ*_jj on the bootstrap side is the j-th row sum of (L*^{-1} C)^2.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .linalg import sym_inv_sqrt, sym_inverse, symmetrize
+from .linalg import spd_factor, sym_inverse
 from .model import info_matrix
 from .rng import RandomStream
 from .solver import FittedModel
@@ -89,7 +94,6 @@ def draw_smoothing(
 
 @dataclass(frozen=True)
 class PivotBundle:
-    h_check: np.ndarray
     h_norm: float
     coord_pivots: np.ndarray
 
@@ -97,9 +101,8 @@ class PivotBundle:
 def pivot_smoothed(fitted: FittedModel, beta0, cfg: SmoothingConfig) -> PivotBundle:
     """Data-side smoothed pivot bundle at the hypothesized beta0."""
     delta = fitted.beta_hat - np.asarray(beta0, dtype=float)
-    m_inv_sqrt = sym_inv_sqrt(fitted.m_hat)
-    return _bundle(delta, fitted.l_hat, fitted.l_hat_inv, m_inv_sqrt, fitted.sigma_hat,
-                   fitted.n, cfg.bn, cfg.z_original)
+    return _bundle(delta, fitted.l_hat, fitted.l_hat_inv, spd_factor(fitted.m_hat),
+                   np.diag(fitted.sigma_hat), fitted.n, cfg.bn, cfg.z_original)
 
 
 def _star_bundle(x, s, beta_hat, beta_star, nu, bn, z_star) -> PivotBundle:
@@ -110,20 +113,21 @@ def _star_bundle(x, s, beta_hat, beta_star, nu, bn, z_star) -> PivotBundle:
     n = x.shape[0]
     l_star = info_matrix(beta_star, x)
     s_nu = s * nu[:, None]
-    m_star = symmetrize(s_nu.T @ s_nu / n)
-    m_inv_sqrt = sym_inv_sqrt(m_star)  # raises SingularMatrixError on degenerate weights
+    m_factor = spd_factor(s_nu.T @ s_nu / n)  # raises SingularMatrixError on degenerate weights
     l_star_inv = sym_inverse(l_star)
-    sigma_star = l_star_inv @ m_star @ l_star_inv
-    return _bundle(beta_star - beta_hat, l_star, l_star_inv, m_inv_sqrt, sigma_star,
+    sigma_diag = np.square(l_star_inv @ m_factor).sum(axis=1)
+    return _bundle(beta_star - beta_hat, l_star, l_star_inv, m_factor, sigma_diag,
                    n, bn, z_star)
 
 
-def _bundle(delta, l, l_inv, m_inv_sqrt, sigma, n, bn, z) -> PivotBundle:
-    """Ȟ and the coordinate pivots from one side's matrices, as in the
-    module docstring. A huge bn can overflow them to inf or nan, which
-    ``run_pebble`` counts as a failed replicate."""
+def _bundle(delta, l, l_inv, m_factor, sigma_diag, n, bn, z) -> PivotBundle:
+    """||Ȟ|| and the coordinate pivots from one side's matrices, with M's
+    Cholesky factor and Σ's diagonal, as in the module docstring. A huge bn
+    can overflow them to inf or nan, which ``run_pebble`` counts as a
+    failed replicate."""
     with np.errstate(over="ignore", invalid="ignore"):
-        h = m_inv_sqrt @ (np.sqrt(n) * (l @ delta) + bn * z)
-        coord = (np.sqrt(n) * delta + bn * (l_inv @ z)) / np.sqrt(np.diag(sigma))
-        h_norm = float(np.linalg.norm(h))
-    return PivotBundle(h_check=h, h_norm=h_norm, coord_pivots=coord)
+        v = np.sqrt(n) * (l @ delta) + bn * z
+        h = np.linalg.solve(m_factor, v)
+        h_norm = math.sqrt(h @ h)
+        coord = (np.sqrt(n) * delta + bn * (l_inv @ z)) / np.sqrt(sigma_diag)
+    return PivotBundle(h_norm=h_norm, coord_pivots=coord)

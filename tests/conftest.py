@@ -1,8 +1,9 @@
 """Shared test helpers: the derandomized hypothesis profile, random SPD
-matrices, random datasets and a strategy for non-separated ones,
-plain-formula oracles of the logistic model, a finite-difference helper,
-entry points to the replicate kernel, and the smoothed-pivot distributional
-check reused by the acceptance suite."""
+matrices and an eigendecomposition oracle for them, random datasets and a
+strategy for non-separated ones, plain-formula oracles of the logistic
+model and of the smoothed pivot, a finite-difference helper, entry points
+to the replicate kernel, and the smoothed-pivot distributional check
+reused by the acceptance suite."""
 
 from __future__ import annotations
 
@@ -85,6 +86,30 @@ def random_spd(rng: np.random.Generator, dim: int, cond: float = 100.0) -> np.nd
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     eigs = np.geomspace(1.0, cond, dim)
     return (q * eigs) @ q.T
+
+
+def eigh_inv_sqrt(a: np.ndarray) -> np.ndarray:
+    """Oracle: the unique symmetric positive definite inverse square root of
+    a symmetric positive definite matrix, from its eigendecomposition."""
+    w, u = np.linalg.eigh(a)
+    return (u / np.sqrt(w)) @ u.T
+
+
+def smoothed_pivot_vector(m, l, delta, n: int, bn: float, z) -> np.ndarray:
+    """Oracle: the vector Ȟ = M^{-1/2} [sqrt(n) L delta + bn z], with the
+    symmetric inverse square root of M."""
+    return eigh_inv_sqrt(np.asarray(m, dtype=float)) @ (
+        np.sqrt(n) * (np.asarray(l, dtype=float) @ delta) + bn * np.asarray(z))
+
+
+def star_matrices(data: Dataset, beta_hat, beta_star, weights):
+    """(L*, M*) by their formulas: the information at β̂* and the sandwich
+    middle with rows (y - p̂)x scaled by the centered-scaled weights."""
+    probs = expit(data.x @ beta_star)
+    l_star = data.x.T @ (data.x * (probs * (1.0 - probs))[:, None]) / data.n
+    _, s = replicate_pieces(data, beta_hat)
+    s_nu = s * ((np.asarray(weights, dtype=float) - MU) / MU)[:, None]
+    return l_star, s_nu.T @ s_nu / data.n
 
 
 def random_dataset(rng: np.random.Generator, n: int, p: int, scale: float = 1.0) -> Dataset:

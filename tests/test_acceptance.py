@@ -29,11 +29,12 @@ from pebble_logit import (
 )
 from pebble_logit.dataio import load_csv
 from pebble_logit.inference import quantile
-from pebble_logit.linalg import sym_inv_sqrt
+from pebble_logit.linalg import spd_factor
 from pebble_logit.model import info_matrix
 from pebble_logit.perturb import DEFAULT_WEIGHTS
 from conftest import (
     central_differences,
+    eigh_inv_sqrt,
     grid_mle_1d,
     log_likelihood,
     random_dataset,
@@ -226,14 +227,21 @@ class TestCriterion5:
         assert worst <= 10 * 1e-10
 
     def test_inv_sqrt_reconstruction(self):
+        # The pivot norm is ||M^{-1/2} v|| = ||C^{-1} v|| with M = C C': the
+        # factor's v'M^{-1}v must match the eigh oracle's, and C C' must be M.
         rng = np.random.default_rng(ACCEPT_SEED + 3)
+        rng_v = np.random.default_rng(ACCEPT_SEED + 33)
         worst = 0.0
         for _ in range(50):
             dim = int(rng.integers(2, 9))
             a = random_spd(rng, dim, cond=float(rng.uniform(2, 1e6)))
-            r = sym_inv_sqrt(a)
-            worst = max(worst, float(np.max(np.abs(r @ a @ r - np.eye(dim)))))
-        report("5d", worst <= 1e-8, f"inv-sqrt reconstruction max error = {worst:.2e}")
+            c = spd_factor(a)
+            v = rng_v.standard_normal(dim)
+            oracle = float(np.sum((eigh_inv_sqrt(a) @ v) ** 2))
+            quad = float(np.sum(np.linalg.solve(c, v) ** 2))
+            worst = max(worst, abs(quad - oracle) / oracle,
+                        float(np.max(np.abs(c @ c.T - a)) / np.max(np.abs(a))))
+        report("5d", worst <= 1e-8, f"factor quad-form/reconstruction max error = {worst:.2e}")
         assert worst <= 1e-8
 
     def test_beta_weight_moments(self):

@@ -212,6 +212,17 @@ class TestErrorPaths:
         assert err.startswith("ERROR:parse:")
         assert str(p) in err
 
+    def test_data_path_not_utf8(self, tmp_path, monkeypatch, capsys):
+        # The report is UTF-8 JSON; the undecodable byte becomes a backslash escape.
+        monkeypatch.chdir(tmp_path)
+        name = os.fsdecode(b"d\xffx.csv")
+        Path(name).write_bytes(_logistic_csv(60, 4))
+        assert run(["fit", "--data", name, "--response", "y", "--out", "o.json"]) == 0
+        report = json.loads(Path("o.json").read_bytes().decode("utf-8"))
+        assert report["config"]["data"] == "d\\xffx.csv"
+        assert run(["fit", "--data", name, "--response", "y"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["data"] == "d\\xffx.csv"
+
     def test_data_error_response_only(self, tmp_path, capsys):
         p = tmp_path / "yonly.csv"
         p.write_text("y\n1\n0\n1\n0\n", encoding="utf-8")

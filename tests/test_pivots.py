@@ -13,7 +13,7 @@ from pebble_logit import (
 )
 from pebble_logit.perturb import DEFAULT_WEIGHTS
 from pebble_logit.pivots import default_bn, default_d_var, draw_smoothing, pivot_smoothed
-from conftest import solve_replicate, star_bundle
+from conftest import smoothed_pivot_vector, solve_replicate, star_bundle, star_matrices
 
 
 def synthetic_fit(beta_hat, l_hat, m_hat, n, sigma_hat=None):
@@ -117,7 +117,8 @@ class TestPivotSmoothed:
         fit = synthetic_fit([0.4, -0.2], np.eye(2) * 0.3, np.eye(2) * 0.2, 100)
         cfg = SmoothingConfig(bn=0.3, d_var=np.full(2, 0.25), z_original=np.zeros(2))
         bundle = pivot_smoothed(fit, fit.beta_hat, cfg)
-        assert np.all(bundle.h_check == 0.0)
+        assert np.all(smoothed_pivot_vector(fit.m_hat, fit.l_hat, np.zeros(2), 100, 0.3,
+                                            cfg.z_original) == 0.0)
         assert bundle.h_norm == 0.0
         assert np.all(bundle.coord_pivots == 0.0)
 
@@ -126,7 +127,8 @@ class TestPivotSmoothed:
         fit = synthetic_fit(rng.normal(size=3), np.eye(3) * 0.5, np.eye(3) * 0.4, 64)
         cfg = SmoothingConfig(bn=0.2, d_var=np.full(3, 0.25), z_original=rng.normal(size=3))
         bundle = pivot_smoothed(fit, np.zeros(3), cfg)
-        assert bundle.h_norm == pytest.approx(np.linalg.norm(bundle.h_check), rel=1e-15)
+        h = smoothed_pivot_vector(fit.m_hat, fit.l_hat, fit.beta_hat, 64, 0.2, cfg.z_original)
+        assert bundle.h_norm == pytest.approx(np.linalg.norm(h), rel=1e-15)
 
     def test_bn_zero_limit_is_sandwich_t(self):
         rng = np.random.default_rng(32)
@@ -145,7 +147,9 @@ class TestPivotSmoothed:
         fit = synthetic_fit([0.3, -0.7, 1.1], np.diag(a), np.diag(m), 81)
         cfg = SmoothingConfig(bn=0.3, d_var=np.full(3, 0.25), z_original=np.zeros(3))
         bundle = pivot_smoothed(fit, np.zeros(3), cfg)
-        assert np.allclose(bundle.coord_pivots, bundle.h_check, atol=1e-10)
+        h = smoothed_pivot_vector(fit.m_hat, fit.l_hat, fit.beta_hat, 81, 0.3, cfg.z_original)
+        assert np.allclose(bundle.coord_pivots, h, atol=1e-10)
+        assert bundle.h_norm == pytest.approx(np.linalg.norm(h), rel=1e-14)
 
 
 def two_point_case():
@@ -165,7 +169,10 @@ class TestPivotSmoothedStar:
         fitted = fit_mle(data)
         weights = DEFAULT_WEIGHTS.draw(RandomStream(42).derive("w", 0).generator, 30)
         bundle = star_bundle(data, fitted.beta_hat, fitted.beta_hat, weights, 0.2, np.zeros(2))
-        assert np.allclose(bundle.h_check, 0.0, atol=1e-12)
+        l_star, m_star = star_matrices(data, fitted.beta_hat, fitted.beta_hat, weights)
+        h = smoothed_pivot_vector(m_star, l_star, np.zeros(2), 30, 0.2, np.zeros(2))
+        assert np.allclose(h, 0.0, atol=1e-12)
+        assert bundle.h_norm == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(bundle.coord_pivots, 0.0, atol=1e-12)
 
     def test_degenerate_weights_raise_singular(self):
@@ -188,7 +195,10 @@ class TestPivotSmoothedStar:
         h = (1 / np.sqrt(m_star)) * (np.sqrt(2.0) * l_star * bs + bn * z_star[0])
         sigma_star = m_star / l_star**2
         coord = (np.sqrt(2.0) * bs + bn * (1 / l_star) * z_star[0]) / np.sqrt(sigma_star)
-        assert bundle.h_check[0] == pytest.approx(h, rel=1e-10)
+        l_oracle, m_oracle = star_matrices(data, fitted.beta_hat, beta_star, weights)
+        oracle = smoothed_pivot_vector(m_oracle, l_oracle, beta_star - fitted.beta_hat, 2, bn,
+                                       z_star)
+        assert oracle[0] == pytest.approx(h, rel=1e-10)
         assert bundle.coord_pivots[0] == pytest.approx(coord, rel=1e-10)
         assert bundle.h_norm == pytest.approx(abs(h), rel=1e-10)
 
