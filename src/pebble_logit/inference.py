@@ -4,11 +4,19 @@
 the data-side jitter Z, once per run, through ``pivots.draw_smoothing``
 (substream ``smooth``, index 0, of the stream it is given) and keeps it
 on the ensemble, since every interval endpoint reuses it. Replicate r
-draws its weights and its jitter Z* from the substream ``("boot", r)``,
-so the ensemble is a deterministic function of (data, seed, B) no matter
-how the replicates are scheduled; a replicate that fails to solve is
-retried once with fresh weights from its own substream and then counted
-out.
+draws its weights and then its jitter Z* from the substream
+``("boot", r)``; a replicate that fails to solve is retried once on fresh
+weights from ``("retry", r)`` (its Z* stays the one from ``("boot", r)``)
+and then counted out.
+
+The replicates run in chunks of k, solved and pivoted by one batched call
+each (``perturb._solve_replicate``, then ``pivots._star_bundle``); a
+chunk's failed solves are retried together. k comes from (n, p) alone,
+by ``_chunk_size``: the largest temporary, a (k, n, p) stack, stays within
+256 KiB. From n = 2000 on, threads take whole chunks. Every per-replicate
+product is stacked so that a replicate's bytes do not depend on its
+chunk-mates, so the ensemble is a deterministic function of (data, seed,
+B) at any chunk size and thread count.
 
 Interval endpoints follow the percentile-t construction: for coordinate j
 with sandwich scale s_j = Σ̂_jj^{1/2} and bootstrap coordinate-pivot
@@ -33,13 +41,7 @@ from multiprocessing import parent_process
 import numpy as np
 from scipy.special import chdtri, expit, ndtri
 
-from .errors import (
-    EmptySampleError,
-    SeparationError,
-    SingularMatrixError,
-    TooManyFailuresError,
-    UsageError,
-)
+from .errors import EmptySampleError, TooManyFailuresError, UsageError
 from .model import Dataset
 from .perturb import DEFAULT_WEIGHTS, _solve_replicate
 from .pivots import SmoothingConfig, _star_bundle, draw_smoothing, pivot_smoothed
@@ -51,6 +53,12 @@ MAX_FAILURE_RATE = 0.01
 # On a 2-CPU host two threads took 0.85-0.87 of one thread's time at
 # n = 2000 (p = 4 and 11), tied at 1500 and lost at 1000 and below.
 _THREADS_MIN_N = 2000
+# A chunk of k replicates is solved and pivoted in one batched call. Its
+# largest temporary is a (k, n, p) float64 stack; holding that to 256 KiB
+# kept nearly all of the batching gain at (200, 8) and (100, 4) with a
+# peak-memory rise under 1 MB, where chunks of 64-128 cost 3-6 MB more.
+_CHUNK_BYTES = 256 * 1024
+_MAX_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -108,6 +116,13 @@ def _replicate_threads(n: int) -> int:
     return os.cpu_count() or 1
 
 
+def _chunk_size(n: int, p: int) -> int:
+    """Replicates per batched call: as many as keep a (k, n, p) float64
+    temporary within ``_CHUNK_BYTES``, between 1 and ``_MAX_CHUNK``. It
+    depends on (n, p) alone, and no output depends on it."""
+    return min(max(_CHUNK_BYTES // (8 * n * p), 1), _MAX_CHUNK)
+
+
 def run_pebble(
     data: Dataset,
     fitted: FittedModel,
@@ -119,7 +134,8 @@ def run_pebble(
     """Run b bootstrap replicates and collect their pivot statistics.
 
     ``seed`` may be an integer or a RandomStream; replicate r always uses
-    the substream ("boot", r) of it, at any thread count. ``bn`` and
+    the substreams ("boot", r) and, on a retry, ("retry", r) of it, at any
+    chunk size and thread count. ``bn`` and
     ``d_var`` override the default smoothing bandwidth and jitter variances;
     the smoothing drawn is kept as ``ensemble.smoothing``. Raises
     UsageError when b < ``MIN_BOOTSTRAP`` or ``draw_smoothing`` rejects
@@ -144,40 +160,45 @@ def run_pebble(
     stars = np.empty((b, p))
     ok = np.zeros(b, dtype=bool)
 
-    def run_chunk(indices):
-        # One scratch generator per worker; draws are identical to
-        # stream.derive("boot", r).generator by ScratchStream's contract.
-        scratch = ScratchStream()
-        for r in indices:
-            gen = scratch.rekey(stream, "boot", r)
-            beta_star = None
-            for _ in range(2):
-                weights = DEFAULT_WEIGHTS.draw(gen, n)
-                nu = (weights - mu) / mu
-                try:
-                    beta_star = _solve_replicate(x, lin0, s, beta_hat, nu)
-                    break
-                except SeparationError:
-                    continue
-            if beta_star is None:
-                continue
-            z_star = gen.standard_normal(p) * sqrt_d
-            try:
-                bundle = _star_bundle(x, s, beta_hat, beta_star, nu, cfg.bn, z_star)
-            except SingularMatrixError:
-                continue
-            coord[r] = bundle.coord_pivots
-            norms[r] = bundle.h_norm
-            stars[r] = beta_star
-            ok[r] = True
+    def weights(gen):
+        return (DEFAULT_WEIGHTS.draw(gen, n) - mu) / mu
 
+    def run_chunks(chunks):
+        # One scratch generator per worker; draws are identical to
+        # stream.derive(label, r).generator by ScratchStream's contract.
+        scratch = ScratchStream()
+        for reps in chunks:
+            nu = np.empty((len(reps), n))
+            z_star = np.empty((len(reps), p))
+            for i, r in enumerate(reps):
+                gen = scratch.rekey(stream, "boot", r)
+                nu[i] = weights(gen)
+                z_star[i] = gen.standard_normal(p) * sqrt_d
+            beta_star, solved = _solve_replicate(x, lin0, s, beta_hat, nu)
+            # A full slice while every row solved keeps the rows views.
+            rows = slice(None)
+            if not solved.all():
+                retry = np.flatnonzero(~solved)
+                for i in retry:
+                    nu[i] = weights(scratch.rekey(stream, "retry", reps[i]))
+                beta_star[retry], solved[retry] = _solve_replicate(
+                    x, lin0, s, beta_hat, nu[retry])
+                rows = np.flatnonzero(solved)
+                if not rows.size:
+                    continue
+            dest = np.asarray(reps)[rows]
+            coord[dest], norms[dest], ok[dest] = _star_bundle(
+                x, s, beta_hat, beta_star[rows], nu[rows], cfg.bn, z_star[rows])
+            stars[dest] = beta_star[rows]
+
+    size = _chunk_size(n, p)
+    chunks = [range(i, min(i + size, b)) for i in range(0, b, size)]
     threads = _replicate_threads(n)
     if threads > 1:
-        chunks = [range(i, b, threads) for i in range(threads)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, chunks))
+            list(pool.map(run_chunks, [chunks[i::threads] for i in range(threads)]))
     else:
-        run_chunk(range(b))
+        run_chunks(chunks)
 
     # A replicate whose pivot overflowed fails like one with a singular M*.
     ok &= np.isfinite(norms) & np.isfinite(coord).all(axis=1)

@@ -10,6 +10,13 @@ The numerical kernels accept raw arrays so they can also be evaluated on
 hypothetical inputs (e.g. a continuous pseudo-response); :class:`Dataset`
 is the validated carrier used by the solver and CLI layers. Coefficient
 vectors are plain float arrays throughout the package.
+
+The three stacked products at the end serve the batched replicate kernels
+and ``info_matrix``: each takes a stack of k rows (coefficients or
+weights) and returns one result per row. Each is a matmul with a leading
+batch axis, never a 2-D gemm over the rows, because OpenBLAS blocks a 2-D
+gemm by its row count and so gives a row different last bits next to
+different neighbours; the stacked form gives row r the same bytes at any k.
 """
 
 from __future__ import annotations
@@ -71,15 +78,18 @@ def predict_probs(beta, x) -> np.ndarray:
 
 
 def info_matrix(beta, x) -> np.ndarray:
-    """Mean information matrix n^{-1} sum_i w_i x_i x_i', w_i = p_i (1 - p_i).
+    """Mean information matrix n^{-1} sum_i w_i x_i x_i', w_i = p_i (1 - p_i),
+    at one coefficient vector beta (p,), or at each row of a stack (k, p)
+    of them, giving a (k, p, p) stack.
 
     The weight is computed as p(1-p) rather than e^z (1+e^z)^{-2}; the two
     are algebraically identical and the former cannot overflow.
     """
     x = np.asarray(x, dtype=float)
-    probs = predict_probs(beta, x)
-    w = probs * (1.0 - probs)
-    return symmetrize(x.T @ (x * w[:, None]) / x.shape[0])
+    beta = np.asarray(beta, dtype=float)
+    probs = expit(predictors(x, np.atleast_2d(beta)))
+    info = symmetrize(weighted_gram(x, probs * (1.0 - probs)) / x.shape[0])
+    return info if beta.ndim == 2 else info[0]
 
 
 def sandwich_mid(beta, x, y) -> np.ndarray:
@@ -88,3 +98,19 @@ def sandwich_mid(beta, x, y) -> np.ndarray:
     r = np.asarray(y, dtype=float) - predict_probs(beta, x)
     s = x * r[:, None]
     return symmetrize(s.T @ s / x.shape[0])
+
+
+def predictors(x, t) -> np.ndarray:
+    """Linear predictors x t_r for each row t_r of t (k, p): a (k, n) stack."""
+    return (t[:, None, :] @ x.T)[:, 0, :]
+
+
+def row_products(v, x) -> np.ndarray:
+    """x' v_r for each row v_r of v (k, n): a (k, p) stack."""
+    return (v[:, None, :] @ x)[:, 0, :]
+
+
+def weighted_gram(x, w) -> np.ndarray:
+    """x' diag(w_r) x for each row w_r of w (k, n): a (k, p, p) stack. Its
+    (k, n, p) temporary is the largest array of a batched replicate call."""
+    return x.T @ (x * w[:, :, None])

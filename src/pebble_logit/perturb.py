@@ -10,9 +10,13 @@ must satisfy mean mu, Var = mu^2 and E(G*-mu)^3 = mu^3; Beta(1/2, 3/2)
 does (mu = 1/4). The mean is always supplied analytically, never
 estimated from the sampled weights.
 
-``_solve_replicate`` is the only replicate solve in the package: the
-ensemble loop of ``inference.run_pebble`` calls it for every replicate
-and for its one retry on fresh weights.
+``_solve_replicate`` is the only replicate solve in the package. The
+ensemble loop of ``inference.run_pebble`` calls it once for each chunk of
+replicates (k of them, chosen from (n, p) by ``inference._chunk_size``),
+with each replicate's weights drawn first from its substream
+``("boot", r)``, and once more for the chunk's replicates that failed, on
+fresh weights from ``("retry", r)``. It hands the chunk to the one Newton
+kernel, ``solver._newton_lin``, as a batch of rows, one per replicate.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import _newton_lin
+from .model import row_products
+from .solver import CONVERGED, _newton_lin
 
 
 @dataclass(frozen=True)
@@ -43,10 +48,11 @@ class WeightSpec:
 DEFAULT_WEIGHTS = WeightSpec()
 
 
-def _solve_replicate(x, lin0, s, beta_hat, nu) -> np.ndarray:
-    """Replicate Newton solve from β̂, given the per-dataset pieces
-    lin0 = x'p̂ and the residual-scaled design rows s = (y - p̂) x, and the
-    centered-scaled weights nu = (G* - mu)/mu."""
-    offset = s.T @ nu
-    t, _, _ = _newton_lin(x, lin0 + offset, beta_hat)
-    return t
+def _solve_replicate(x, lin0, s, beta_hat, nu):
+    """Replicate Newton solves from β̂ for a chunk of k replicates, given the
+    per-dataset pieces lin0 = x'p̂ and the residual-scaled design rows
+    s = (y - p̂) x, and the centered-scaled weights nu = (G* - mu)/mu, one
+    replicate per row (k, n). Returns β* (k, p) and a mask (k,) of the rows
+    whose solve converged; row r's bytes do not depend on the other rows."""
+    t, _, _, status = _newton_lin(x, lin0 + row_products(nu, s), beta_hat)
+    return t, status == CONVERGED

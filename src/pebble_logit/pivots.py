@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import SingularMatrixError, UsageError
 from .linalg import spd_factor, sym_inverse
 from .model import info_matrix
 from .rng import RandomStream
@@ -101,33 +101,49 @@ class PivotBundle:
 def pivot_smoothed(fitted: FittedModel, beta0, cfg: SmoothingConfig) -> PivotBundle:
     """Data-side smoothed pivot bundle at the hypothesized beta0."""
     delta = fitted.beta_hat - np.asarray(beta0, dtype=float)
-    return _bundle(delta, fitted.l_hat, fitted.l_hat_inv, spd_factor(fitted.m_hat),
-                   np.diag(fitted.sigma_hat), fitted.n, cfg.bn, cfg.z_original)
+    coord, norms = _bundle(delta[None], fitted.l_hat[None], fitted.l_hat_inv[None],
+                           spd_factor(fitted.m_hat)[None], np.diag(fitted.sigma_hat)[None],
+                           fitted.n, cfg.bn, cfg.z_original[None])
+    return PivotBundle(h_norm=float(norms[0]), coord_pivots=coord[0])
 
 
-def _star_bundle(x, s, beta_hat, beta_star, nu, bn, z_star) -> PivotBundle:
-    """Bootstrap-side smoothed pivot bundle for one solved replicate, the
-    only one in the package; ``s`` is the matrix of residual-scaled rows
-    (y - p̂)x built once per dataset and ``nu`` the replicate's
-    centered-scaled weights."""
-    n = x.shape[0]
+def _star_bundle(x, s, beta_hat, beta_star, nu, bn, z_star):
+    """Bootstrap-side smoothed pivots for a chunk of k solved replicates,
+    the only ones in the package; ``s`` is the matrix of residual-scaled
+    rows (y - p̂)x built once per dataset, and ``beta_star`` (k, p), ``nu``
+    (k, n) and ``z_star`` (k, p) hold one replicate per row. Returns the
+    coordinate pivots (k, p), the norms ||Ȟ*|| (k,) and a mask (k,) of the
+    rows whose L* and M* passed the singularity rule; the other rows hold
+    NaN. A stacked factorization fails for the whole stack when one matrix
+    is singular, so that case is redone row by row; row r's bytes do not
+    depend on the other rows either way."""
+    n, k = x.shape[0], beta_star.shape[0]
     l_star = info_matrix(beta_star, x)
-    s_nu = s * nu[:, None]
-    m_factor = spd_factor(s_nu.T @ s_nu / n)  # raises SingularMatrixError on degenerate weights
-    l_star_inv = sym_inverse(l_star)
-    sigma_diag = np.square(l_star_inv @ m_factor).sum(axis=1)
-    return _bundle(beta_star - beta_hat, l_star, l_star_inv, m_factor, sigma_diag,
-                   n, bn, z_star)
+    s_nu = s * nu[:, :, None]
+    try:
+        m_factor = spd_factor(np.swapaxes(s_nu, -1, -2) @ s_nu / n)
+        l_star_inv = sym_inverse(l_star)
+    except SingularMatrixError:
+        if k == 1:
+            return np.full((1, x.shape[1]), np.nan), np.full(1, np.nan), np.zeros(1, bool)
+        rows = [_star_bundle(x, s, beta_hat, beta_star[r:r + 1], nu[r:r + 1], bn,
+                             z_star[r:r + 1]) for r in range(k)]
+        return tuple(np.concatenate(parts) for parts in zip(*rows))
+    sigma_diag = np.square(l_star_inv @ m_factor).sum(axis=-1)
+    coord, norms = _bundle(beta_star - beta_hat, l_star, l_star_inv, m_factor, sigma_diag,
+                           n, bn, z_star)
+    return coord, norms, np.ones(k, bool)
 
 
-def _bundle(delta, l, l_inv, m_factor, sigma_diag, n, bn, z) -> PivotBundle:
-    """||Ȟ|| and the coordinate pivots from one side's matrices, with M's
-    Cholesky factor and Σ's diagonal, as in the module docstring. A huge bn
-    can overflow them to inf or nan, which ``run_pebble`` counts as a
-    failed replicate."""
+def _bundle(delta, l, l_inv, m_factor, sigma_diag, n, bn, z):
+    """The coordinate pivots and ||Ȟ|| from one side's matrices, with M's
+    Cholesky factor and Σ's diagonal, as in the module docstring, for a
+    stack of k cases (delta, z (k, p); matrices (k, p, p); sigma_diag
+    (k, p)). A huge bn can overflow them to inf or nan, which
+    ``run_pebble`` counts as a failed replicate."""
     with np.errstate(over="ignore", invalid="ignore"):
-        v = np.sqrt(n) * (l @ delta) + bn * z
-        h = np.linalg.solve(m_factor, v)
-        h_norm = math.sqrt(h @ h)
-        coord = (np.sqrt(n) * delta + bn * (l_inv @ z)) / np.sqrt(sigma_diag)
-    return PivotBundle(h_norm=h_norm, coord_pivots=coord)
+        v = np.sqrt(n) * (l @ delta[:, :, None]) + bn * z[:, :, None]
+        h = np.linalg.solve(m_factor, v)[:, :, 0]
+        norms = np.sqrt((h * h).sum(axis=1))
+        coord = (np.sqrt(n) * delta + bn * (l_inv @ z[:, :, None])[:, :, 0]) / np.sqrt(sigma_diag)
+    return coord, norms

@@ -14,9 +14,9 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 from pebble_logit import Dataset, RandomStream, fit_mle
-from pebble_logit.errors import SeparationError
+from pebble_logit.errors import SeparationError, SingularMatrixError
 from pebble_logit.perturb import DEFAULT_WEIGHTS, _solve_replicate
-from pebble_logit.pivots import _star_bundle, draw_smoothing, pivot_smoothed
+from pebble_logit.pivots import PivotBundle, _star_bundle, draw_smoothing, pivot_smoothed
 from pebble_logit.simulation import Scenario, generate_dataset
 
 MU = DEFAULT_WEIGHTS.mu
@@ -70,15 +70,24 @@ def replicate_pieces(data: Dataset, beta_hat):
 
 
 def solve_replicate(data: Dataset, beta_hat, weights) -> np.ndarray:
-    """β̂* for one weight vector, through the package's replicate kernel."""
+    """β̂* for one weight vector, through the package's replicate kernel as
+    a chunk of one (a (1, n) ν); raises SeparationError when it fails."""
     lin0, s = replicate_pieces(data, beta_hat)
-    return _solve_replicate(data.x, lin0, s, beta_hat, (weights - MU) / MU)
+    beta_star, solved = _solve_replicate(data.x, lin0, s, beta_hat, ((weights - MU) / MU)[None])
+    if not solved[0]:
+        raise SeparationError("replicate solve failed")
+    return beta_star[0]
 
 
-def star_bundle(data: Dataset, beta_hat, beta_star, weights, bn: float, z_star):
-    """Bootstrap-side pivot bundle, through the package's replicate kernel."""
+def star_bundle(data: Dataset, beta_hat, beta_star, weights, bn: float, z_star) -> PivotBundle:
+    """Bootstrap-side pivot bundle, through the package's replicate kernel as
+    a chunk of one; raises SingularMatrixError when L* or M* is singular."""
     _, s = replicate_pieces(data, beta_hat)
-    return _star_bundle(data.x, s, beta_hat, beta_star, (weights - MU) / MU, bn, z_star)
+    coord, norms, ok = _star_bundle(data.x, s, beta_hat, np.asarray(beta_star)[None],
+                                    ((weights - MU) / MU)[None], bn, np.asarray(z_star)[None])
+    if not ok[0]:
+        raise SingularMatrixError("replicate pivot matrix is singular")
+    return PivotBundle(h_norm=float(norms[0]), coord_pivots=coord[0])
 
 
 def random_spd(rng: np.random.Generator, dim: int, cond: float = 100.0) -> np.ndarray:

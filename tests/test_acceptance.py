@@ -269,15 +269,20 @@ class TestCriterion5:
         rng = np.random.default_rng(ACCEPT_SEED + 5)
         data = random_dataset(rng, 100, 3)
         fitted = fit_mle(data)
-        monkeypatch.setattr(inference, "_replicate_threads", lambda n: 1)
-        one = run_pebble(data, fitted, 300, RandomStream(77))
-        monkeypatch.setattr(inference, "_replicate_threads", lambda n: 8)
-        eight = run_pebble(data, fitted, 300, RandomStream(77))
-        ok = (np.array_equal(one.coord_pivots, eight.coord_pivots)
-              and np.array_equal(one.h_norms, eight.h_norms)
-              and np.array_equal(one.beta_stars, eight.beta_stars)
-              and one.failed_replicates == eight.failed_replicates)
-        report("5g", ok, "ensemble bit-identical at 1 vs 8 threads")
+        default = inference._chunk_size(data.n, data.p)
+
+        def ensemble(threads, chunk):
+            monkeypatch.setattr(inference, "_replicate_threads", lambda n: threads)
+            monkeypatch.setattr(inference, "_chunk_size", lambda n, p: chunk)
+            e = run_pebble(data, fitted, 300, RandomStream(77))
+            return (e.coord_pivots.tobytes(), e.h_norms.tobytes(), e.beta_stars.tobytes(),
+                    e.failed_replicates)
+
+        base = ensemble(1, default)
+        ok = all(ensemble(threads, chunk) == base
+                 for threads in (1, 8) for chunk in (1, 7, default))
+        report("5g", ok, f"ensemble bit-identical at chunk sizes 1, 7, {default} "
+                         "and 1 vs 8 threads")
         assert ok
 
 

@@ -18,7 +18,6 @@ from pebble_logit import (
     FittedModel,
     PebbleError,
     RandomStream,
-    SeparationError,
     SmoothingConfig,
     TooManyFailuresError,
     UsageError,
@@ -27,6 +26,7 @@ from pebble_logit import (
     make_intervals,
     normal_intervals,
     run_pebble,
+    solver,
 )
 from pebble_logit.inference import (
     MAX_FAILURE_RATE,
@@ -36,8 +36,15 @@ from pebble_logit.inference import (
     region_contains,
 )
 from pebble_logit.perturb import DEFAULT_WEIGHTS
-from pebble_logit.pivots import default_bn, default_d_var
-from conftest import overlapped_data, random_dataset, solve_replicate, star_bundle
+from pebble_logit.pivots import _star_bundle, default_bn, default_d_var
+from conftest import (
+    MU,
+    overlapped_data,
+    random_dataset,
+    replicate_pieces,
+    solve_replicate,
+    star_bundle,
+)
 
 
 class TestQuantile:
@@ -67,6 +74,11 @@ class TestQuantile:
             alpha = float(rng.uniform(0.001, 0.999))
             expected = np.sort(samples)[min(max(int(np.ceil(size * alpha)), 1), size) - 1]
             assert quantile(samples, alpha) == expected
+
+
+def replicate_nu(n: int, sub: RandomStream) -> np.ndarray:
+    """Centered-scaled weights (G* - mu)/mu drawn first from a substream."""
+    return (DEFAULT_WEIGHTS.draw(sub.generator, n) - DEFAULT_WEIGHTS.mu) / DEFAULT_WEIGHTS.mu
 
 
 def small_problem(seed=17, n=80, p=2):
@@ -114,25 +126,32 @@ class TestRunPebble:
         assert a.failed_replicates == b.failed_replicates
 
     def test_thread_count_bit_identical(self, monkeypatch):
+        # Bit-identical at any chunk size and thread count.
         data, fitted, stream = small_problem()
-        monkeypatch.setattr(inference, "_replicate_threads", lambda n: 1)
         a = run_pebble(data, fitted, 300, RandomStream(7))
-        monkeypatch.setattr(inference, "_replicate_threads", lambda n: 8)
-        b = run_pebble(data, fitted, 300, RandomStream(7))
-        assert np.array_equal(a.coord_pivots, b.coord_pivots)
-        assert np.array_equal(a.h_norms, b.h_norms)
-        assert np.array_equal(a.beta_stars, b.beta_stars)
+        default = inference._chunk_size(data.n, data.p)
+        for threads, chunk in itertools.product([1, 8], [1, 7, default]):
+            monkeypatch.setattr(inference, "_replicate_threads", lambda n, k=threads: k)
+            monkeypatch.setattr(inference, "_chunk_size", lambda n, p, k=chunk: k)
+            b = run_pebble(data, fitted, 300, RandomStream(7))
+            assert np.array_equal(a.coord_pivots, b.coord_pivots)
+            assert np.array_equal(a.h_norms, b.h_norms)
+            assert np.array_equal(a.beta_stars, b.beta_stars)
 
     @settings(max_examples=40)
-    @given(overlapped_data(), st.integers(1, 8), st.integers(100, 250))
-    def test_schedule_invariant_ensemble(self, data, threads, b):
+    @given(overlapped_data(), st.integers(1, 8), st.integers(100, 250),
+           st.sampled_from([1, 2, 7, None]))
+    def test_schedule_invariant_ensemble(self, data, threads, b, chunk):
         fitted = fit_mle(data)
+        default = inference._chunk_size(data.n, data.p)
 
-        def outcome(k):
+        def outcome(k, size):
             # The ensemble's bytes, or the failure message (with its count)
             # when too many replicates fail, as on about half of these
-            # small adversarial datasets; neither may depend on k.
-            with mock.patch.object(inference, "_replicate_threads", lambda n: k):
+            # small adversarial datasets; neither may depend on the thread
+            # count k or the chunk size.
+            with mock.patch.object(inference, "_replicate_threads", lambda n: k), \
+                    mock.patch.object(inference, "_chunk_size", lambda n, p: size):
                 try:
                     e = run_pebble(data, fitted, b, RandomStream(11))
                 except TooManyFailuresError as exc:
@@ -140,7 +159,7 @@ class TestRunPebble:
             return (e.coord_pivots.tobytes(), e.h_norms.tobytes(),
                     e.beta_stars.tobytes(), e.failed_replicates)
 
-        assert outcome(threads) == outcome(1)
+        assert outcome(threads, chunk or default) == outcome(1, default)
 
     @pytest.mark.parametrize("b", [100, 300])
     @pytest.mark.parametrize("at_limit", [False, True])
@@ -150,14 +169,14 @@ class TestRunPebble:
         limit = math.ceil(MAX_FAILURE_RATE * b)
         failing = limit if at_limit else limit - 1
         solve = inference._solve_replicate
-        calls = itertools.count()
+        # ν of both tries of the first `failing` replicates, drawn as run_pebble
+        # draws them: the first from ("boot", r), the retry from ("retry", r).
+        forced = {replicate_nu(data.n, RandomStream(8).derive(label, r)).tobytes()
+                  for r in range(failing) for label in ("boot", "retry")}
 
-        def flaky(*args):
-            # n = 80 runs the replicates in order on one thread, so the first
-            # 2 * failing calls are both tries of the first `failing` replicates.
-            if next(calls) < 2 * failing:
-                raise SeparationError("forced")
-            return solve(*args)
+        def flaky(x, lin0, s, beta_hat, nu):
+            beta_star, solved = solve(x, lin0, s, beta_hat, nu)
+            return beta_star, solved & np.array([row.tobytes() not in forced for row in nu])
 
         monkeypatch.setattr(inference, "_solve_replicate", flaky)
         if at_limit:
@@ -213,7 +232,9 @@ class TestRunPebble:
     def test_infinite_newton_step_fails_replicate_quietly(self):
         # A subnormal design entry makes some replicate Hessians so nearly
         # singular that the Newton step is infinite; those replicates must
-        # fail at once, without NaN trial points or RuntimeWarnings.
+        # fail at once, without NaN trial points or RuntimeWarnings. At seed 1,
+        # 23 first tries fail so, and 1 of their retries on ("retry", r)
+        # weights fails again.
         x = np.array([[2.2e-311, 2.1790735340993193],
                       [0.24876732149455005, -1.2017286567756913],
                       [1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -221,8 +242,102 @@ class TestRunPebble:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             fitted = fit_mle(data)
-            with pytest.raises(TooManyFailuresError, match="6 of 100"):
+            with pytest.raises(TooManyFailuresError, match="1 of 100"):
                 run_pebble(data, fitted, 100, 1)
+
+
+class TestBatchedRows:
+    """One row of a batched replicate call fails alone, and a retried
+    replicate replays from its own substreams."""
+
+    def test_singular_m_star_fails_only_its_row(self):
+        data, fitted, _ = small_problem(seed=29)
+        _, s = replicate_pieces(data, fitted.beta_hat)
+        rng = np.random.default_rng(30)
+        nu = (DEFAULT_WEIGHTS.draw(rng, 3 * data.n).reshape(3, data.n) - MU) / MU
+        nu[1, 1:] = 0.0  # one nonzero weight: M* has rank 1 < p
+        beta_star = fitted.beta_hat + 0.05 * rng.standard_normal((3, data.p))
+        z_star = rng.standard_normal((3, data.p))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            coord, norms, ok = _star_bundle(data.x, s, fitted.beta_hat, beta_star, nu, 0.3, z_star)
+            assert ok.tolist() == [True, False, True]
+            assert np.isnan(norms[1]) and np.isnan(coord[1]).all()
+            for r in (0, 2):
+                one = _star_bundle(data.x, s, fitted.beta_hat, beta_star[r:r + 1],
+                                   nu[r:r + 1], 0.3, z_star[r:r + 1])
+                assert coord[r].tobytes() == one[0][0].tobytes()
+                assert norms[r].tobytes() == one[1][0].tobytes()
+                assert one[2].tolist() == [True]
+
+    def test_singular_hessian_fails_only_its_row(self):
+        # With an intercept column and the start (1000, 0), every fitted
+        # probability rounds to 1, so that row's Hessian is exactly zero.
+        rng = np.random.default_rng(31)
+        x = np.column_stack([np.ones(40), rng.standard_normal(40)])
+        y = (rng.random(40) < expit(x @ [0.3, -0.8])).astype(float)
+        data = Dataset(x=x, y=y)
+        fitted = fit_mle(data)
+        lin0, s = replicate_pieces(data, fitted.beta_hat)
+        nu = (DEFAULT_WEIGHTS.draw(rng, 3 * data.n).reshape(3, data.n) - MU) / MU
+        lin = lin0 + (nu[:, None, :] @ s)[:, 0, :]
+        start = np.array([fitted.beta_hat, [1000.0, 0.0], fitted.beta_hat])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            t, _, _, status = solver._newton_lin(x, lin, start)
+            assert status.tolist() == [solver.CONVERGED, solver.SINGULAR, solver.CONVERGED]
+            for r in (0, 2):
+                one, _, _, one_status = solver._newton_lin(x, lin[r:r + 1], start[r])
+                assert one_status.tolist() == [solver.CONVERGED]
+                assert t[r].tobytes() == one[0].tobytes()
+
+    def test_rows_leaving_at_different_rounds_keep_their_bytes(self):
+        # Row 0 starts at the MLE, row 1 far from it, and row 2 solves for
+        # labels that the sign of x_1 separates, with one point at
+        # x = (1e-6, 0), so it diverges: the rows leave the batch in
+        # different rounds and with different outcomes.
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((60, 2))
+        x[0] = [1e-6, 0.0]
+        y = (rng.random(60) < expit(x @ [1.0, -0.5])).astype(float)
+        fitted = fit_mle(Dataset(x=x, y=y))
+        lin = np.array([x.T @ y, x.T @ y, x.T @ (x[:, 0] > 0.0)])
+        start = np.array([fitted.beta_hat, [3.0, -4.0], fitted.beta_hat])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            t, _, norms, status = solver._newton_lin(x, lin, start)
+            assert status.tolist() == [solver.CONVERGED, solver.CONVERGED, solver.DIVERGED]
+            for r in range(3):
+                one, _, one_norms, one_status = solver._newton_lin(x, lin[r:r + 1], start[r])
+                assert one_status[0] == status[r]
+                assert t[r].tobytes() == one[0].tobytes()
+                assert norms[r].tobytes() == one_norms[0].tobytes()
+
+    @pytest.mark.parametrize("r", [0, 5, 81, 119])
+    def test_retry_replays_from_its_substreams(self, monkeypatch, r):
+        # Replicate r's first solve is forced to fail: its β* and pivots are
+        # those of a chunk-of-one replay on weights from ("retry", r), with
+        # the Z* drawn right after ("boot", r)'s weights.
+        data, fitted, _ = small_problem(seed=23)
+        boot = RandomStream(5).derive("boot", r)
+        first = replicate_nu(data.n, boot).tobytes()
+        solve = inference._solve_replicate
+
+        def fail_first_try(x, lin0, s, beta_hat, nu):
+            beta_star, solved = solve(x, lin0, s, beta_hat, nu)
+            return beta_star, solved & np.array([row.tobytes() != first for row in nu])
+
+        monkeypatch.setattr(inference, "_solve_replicate", fail_first_try)
+        ensemble = run_pebble(data, fitted, 120, RandomStream(5))
+        cfg = ensemble.smoothing
+        assert ensemble.failed_replicates == 0
+        z_star = boot.gaussians(data.p) * np.sqrt(cfg.d_var)
+        weights = DEFAULT_WEIGHTS.draw(RandomStream(5).derive("retry", r).generator, data.n)
+        beta_star = solve_replicate(data, fitted.beta_hat, weights)
+        bundle = star_bundle(data, fitted.beta_hat, beta_star, weights, cfg.bn, z_star)
+        assert ensemble.beta_stars[r].tobytes() == beta_star.tobytes()
+        assert ensemble.coord_pivots[r].tobytes() == bundle.coord_pivots.tobytes()
+        assert ensemble.h_norms[r] == bundle.h_norm
 
 
 @st.composite

@@ -21,7 +21,10 @@ def fit_weighted_equation(data, beta_anchor, offset):
     deterministic core of the bootstrap equation, by the Newton kernel
     started at the anchor."""
     lin0, _ = replicate_pieces(data, beta_anchor)
-    return _newton_lin(data.x, lin0 + offset, beta_anchor)[0]
+    t, _, score_norm, status = _newton_lin(data.x, (lin0 + offset)[None], beta_anchor)
+    if status[0] != solver.CONVERGED:
+        raise solver.separation_error(status[0], score_norm[0])
+    return t[0]
 
 
 def intercept_only(n_ones: int, n: int) -> Dataset:
@@ -105,11 +108,12 @@ class TestFitMle:
         for _ in range(10):
             data = random_dataset(rng, 40, 2)
             # The Newton loop evaluates expit once at every accepted iterate,
-            # on its linear predictor z = x t.
+            # on its linear predictor z = x t (fit_mle solves a batch of one
+            # row, so z arrives as a (1, n) stack).
             seen = []
 
             def recording_expit(z):
-                seen.append(np.array(z))
+                seen.append(np.array(z)[0])
                 return expit(z)
 
             with monkeypatch.context() as patch:
