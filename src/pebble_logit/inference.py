@@ -29,20 +29,26 @@ of the bootstrap pivot norms.
 
 All bootstrap quantiles are nearest-rank order statistics: the
 ``ceil(m * γ)``-th smallest of m samples.
+
+The Wald baseline, ``normal_intervals``, takes its normal quantiles from
+``statistics.NormalDist`` and its region radius from
+``chi2_upper_quantile``, a chi-square quantile for integer degrees of
+freedom built on ``math``, so the package needs no scipy at run time.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import parent_process
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import chdtri, expit, ndtri
 
 from .errors import EmptySampleError, TooManyFailuresError, UsageError
-from .model import Dataset
+from .model import Dataset, expit
 from .perturb import DEFAULT_WEIGHTS, _solve_replicate
 from .pivots import SmoothingConfig, _star_bundle, draw_smoothing, pivot_smoothed
 from .rng import RandomStream, ScratchStream
@@ -94,13 +100,17 @@ class IntervalSet:
     region_radius: float
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise UsageError("alpha must lie in (0, 1)")
+
+
 def quantile(samples, alpha: float) -> float:
     """Nearest-rank quantile: the ceil(m*alpha)-th smallest of m samples."""
     a = np.asarray(samples, dtype=float).ravel()
     if a.size == 0:
         raise EmptySampleError("cannot take a quantile of an empty sample")
-    if not 0.0 < alpha < 1.0:
-        raise UsageError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     k = min(max(int(np.ceil(a.size * alpha)), 1), a.size)
     return float(np.partition(a, k - 1)[k - 1])
 
@@ -253,16 +263,64 @@ def region_contains(beta0, fitted: FittedModel, ensemble: BootstrapEnsemble, alp
 
 def normal_intervals(fitted: FittedModel, alpha: float) -> IntervalSet:
     """Wald baseline: information-based standard errors and a chi-square
-    region radius for the L̂^{1/2}-studentized pivot."""
+    region radius for the L̂^{1/2}-studentized pivot. Raises UsageError
+    unless 0 < alpha < 1.
+
+    The normal quantiles are taken at the upper-tail probabilities alpha/2
+    and alpha themselves, which are exact, rather than at 1 - alpha/2 and
+    1 - alpha, which round."""
+    _check_alpha(alpha)
     beta_hat = fitted.beta_hat
     p = beta_hat.shape[0]
     se = np.sqrt(np.diag(fitted.l_hat_inv) / fitted.n)
-    z_two = float(ndtri(1 - alpha / 2))
-    z_one = float(ndtri(1 - alpha))
+    z_two = -NormalDist().inv_cdf(alpha / 2)
+    z_one = -NormalDist().inv_cdf(alpha)
     two_sided = np.column_stack([beta_hat - z_two * se, beta_hat + z_two * se])
     upper = beta_hat + z_one * se
     lower = beta_hat - z_one * se
-    radius = float(np.sqrt(chdtri(p, alpha)))
+    radius = math.sqrt(chi2_upper_quantile(p, alpha))
     return IntervalSet(
         alpha=alpha, two_sided=two_sided, upper=upper, lower=lower, region_radius=radius
     )
+
+
+def chi2_upper_quantile(p: int, alpha: float) -> float:
+    """The x with P(chi-square_p > x) = alpha, for integer p >= 1 and
+    0 < alpha < 1.
+
+    With h = x/2 and terms t(b) = h^b e^{-h} / Gamma(b + 1), summed in log
+    space: P(chi-square_p > x) is erfc(sqrt h) when p is odd (else 0) plus
+    t(b) over b = p/2 - 1, p/2 - 2, ... >= 0, and P(chi-square_p <= x) is
+    t(b) over b = p/2, p/2 + 1, .... The equation solved is the one for
+    the tail of mass at most 1/2, which 1 - alpha would otherwise round.
+    The root is bracketed and bisected down to adjacent doubles.
+    """
+    a = p / 2
+
+    def term(b: float, h: float) -> float:
+        return math.exp(b * math.log(h) - h - math.lgamma(b + 1))
+
+    def above(x: float) -> bool:
+        """Is x at or above the quantile?"""
+        h = x / 2
+        if alpha <= 0.5:
+            tail = math.erfc(math.sqrt(h)) if p % 2 else 0.0
+            return tail + sum(term(a - 1 - j, h) for j in range(p // 2)) <= alpha
+        total, b = 0.0, a
+        while True:  # the terms fall from b > h on
+            t = term(b, h)
+            total += t
+            if b > h and t <= 1e-17 * total:
+                return total >= 1.0 - alpha
+            b += 1
+
+    hi = float(p)
+    while not above(hi):
+        hi *= 2
+    lo = 0.0
+    for _ in range(2100):  # the width halves from under 2^1024 to 2^-1074
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            break
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return hi

@@ -2,9 +2,9 @@
 pivot is built from.
 
 For a coefficient vector beta and design row x, the success probability is
-``p = e^{x'b} / (1 + e^{x'b})``. The (mean) information matrix is
-``n^{-1} sum_i p_i (1 - p_i) x_i x_i'`` and the sandwich middle matrix is
-``n^{-1} sum_i (y_i - p_i)^2 x_i x_i'``.
+``p = e^{x'b} / (1 + e^{x'b})``, computed by :func:`expit`. The (mean)
+information matrix is ``n^{-1} sum_i p_i (1 - p_i) x_i x_i'`` and the
+sandwich middle matrix is ``n^{-1} sum_i (y_i - p_i)^2 x_i x_i'``.
 
 The numerical kernels accept raw arrays so they can also be evaluated on
 hypothetical inputs (e.g. a continuous pseudo-response); :class:`Dataset`
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DegenerateResponseError, InvalidDataError
 from .linalg import symmetrize
@@ -70,6 +69,17 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.x.shape[1]
+
+
+def expit(z):
+    """The logistic function 1 / (1 + e^{-z}), elementwise.
+
+    For z < -709, e^{-z} overflows to inf and the quotient is the correct
+    0, so the overflow warning is silenced. Through numpy's exp its last
+    bits depend on the SIMD path numpy picks for the CPU.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def predict_probs(beta, x) -> np.ndarray:

@@ -21,7 +21,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     DegenerateResponseError,
@@ -29,7 +28,7 @@ from .errors import (
     TooManyFailuresError,
     UsageError,
 )
-from .model import Dataset
+from .model import Dataset, expit
 from .inference import make_intervals, normal_intervals, region_contains, run_pebble
 from .rng import RandomStream
 from .solver import fit_mle

@@ -22,12 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import SeparationError, SingularMatrixError
 from .linalg import sym_inverse, symmetrize
 from .model import (
     Dataset,
+    expit,
     info_matrix,
     predictors,
     row_products,

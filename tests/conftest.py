@@ -15,6 +15,7 @@ from scipy.special import expit
 
 from pebble_logit import Dataset, RandomStream, fit_mle
 from pebble_logit.errors import SeparationError, SingularMatrixError
+from pebble_logit.model import predict_probs
 from pebble_logit.perturb import DEFAULT_WEIGHTS, _solve_replicate
 from pebble_logit.pivots import PivotBundle, _star_bundle, draw_smoothing, pivot_smoothed
 from pebble_logit.simulation import Scenario, generate_dataset
@@ -64,8 +65,10 @@ def central_differences(f, beta, h: float) -> np.ndarray:
 
 
 def replicate_pieces(data: Dataset, beta_hat):
-    """(lin0, s) = (x'p̂, (y - p̂)x), built the way ``run_pebble`` builds them."""
-    p_hat = expit(data.x @ beta_hat)
+    """(lin0, s) = (x'p̂, (y - p̂)x), built the way ``run_pebble`` builds them:
+    p̂ through the package's logistic function, so the kernel entry points
+    below replay the library byte for byte."""
+    p_hat = predict_probs(beta_hat, data.x)
     return data.x.T @ p_hat, data.x * (data.y - p_hat)[:, None]
 
 

@@ -312,13 +312,15 @@ class TestFuzz:
 
 
 class TestImport:
-    def test_cli_import_leaves_out_scipy_stats(self):
-        # scipy.stats is most of a cold start and the package needs none of it.
+    @pytest.mark.parametrize("module", ["pebble_logit", "pebble_logit.cli"])
+    def test_import_loads_no_scipy(self, module):
+        # scipy is a test-only oracle; importing it was half of a cold start.
         import pebble_logit
 
         src = str(Path(pebble_logit.__file__).resolve().parents[1])
-        code = "import sys, pebble_logit.cli; print('scipy.stats' in sys.modules)"
+        code = (f"import sys, {module}; "
+                "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True, timeout=120)
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[]"

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import expit
+from scipy.special import chdtri, expit, ndtri
 
 from pebble_logit import (
     Dataset,
@@ -32,6 +32,7 @@ from pebble_logit.inference import (
     MAX_FAILURE_RATE,
     BootstrapEnsemble,
     _replicate_threads,
+    chi2_upper_quantile,
     quantile,
     region_contains,
 )
@@ -532,6 +533,26 @@ class TestNormalIntervals:
         iv = normal_intervals(self.unit_fit(10), 0.1)
         assert iv.upper[0] == pytest.approx(1.2815516, abs=1e-6)
         assert iv.lower[0] == pytest.approx(-1.2815516, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, np.nan])
+    def test_rejects_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(UsageError, match=r"alpha must lie in \(0, 1\)"):
+            normal_intervals(self.unit_fit(10), alpha)
+
+    @pytest.mark.parametrize("alpha", [1e-16, 1e-3, 0.01, 0.05, 0.1, 0.5, 0.9, 1.0 - 1e-16])
+    def test_z_values_match_ndtri(self, alpha):
+        # With β̂ = 0 and unit standard errors the endpoints are the z values.
+        iv = normal_intervals(self.unit_fit(10), alpha)
+        assert iv.two_sided[0, 0] == -iv.two_sided[0, 1]
+        assert iv.two_sided[0, 1] == pytest.approx(-ndtri(alpha / 2), rel=2e-15, abs=0.0)
+        assert iv.upper[0] == pytest.approx(-ndtri(alpha), rel=2e-15, abs=0.0)
+        assert iv.lower[0] == -iv.upper[0]
+
+    @pytest.mark.parametrize("p", [*range(1, 61), 100, 500])
+    def test_chi2_quantile_matches_chdtri(self, p):
+        for alpha in (1e-3, 0.01, 0.05, 0.1, 0.5, 0.9, 1.0 - 1e-16):
+            assert chi2_upper_quantile(p, alpha) == pytest.approx(chdtri(p, alpha), rel=1e-13,
+                                                                  abs=0.0), alpha
 
     def test_se_is_diagonal_of_inverse_on_correlated_design(self):
         rng = np.random.default_rng(23)

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit as scipy_expit
 
 from pebble_logit import Dataset, DegenerateResponseError, InvalidDataError, fit_mle
-from pebble_logit.model import info_matrix, predict_probs, sandwich_mid
+from pebble_logit.model import expit, info_matrix, predict_probs, sandwich_mid
 from conftest import central_differences, log_likelihood, predict_prob, random_dataset, score
 
 
@@ -28,6 +31,28 @@ class TestPredictProb:
         zs = np.linspace(-30, 30, 201)
         probs = predict_probs(np.array([1.0]), zs[:, None])
         assert np.all(np.diff(probs) >= 0.0)
+
+
+class TestExpit:
+    def test_within_four_ulps_of_scipy(self):
+        rng = np.random.default_rng(71)
+        z = np.concatenate([rng.uniform(-800.0, 800.0, 200_000), rng.uniform(-40.0, 40.0, 200_000),
+                            [0.0, -0.0, 709.0, -709.0, 710.0, -710.0, -745.0, -746.0,
+                             1e308, -1e308, np.inf, -np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expit(z)
+        want = scipy_expit(z)
+        # ulps of the reference value; below the normal range, of the smallest normal
+        ulp = np.spacing(np.maximum(want, np.finfo(float).tiny))
+        assert np.all(np.abs(got - want) <= 4 * ulp)
+        assert np.all((got >= 0.0) & (got <= 1.0))
+
+    def test_nan_stays_nan_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(expit(np.array([np.nan]))).all()
+            assert np.isnan(expit(np.nan))
 
 
 class TestLogLikelihood:

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given
-from scipy.special import expit
 
 from pebble_logit import Dataset, SeparationError, fit_mle, solver
-from pebble_logit.model import predict_probs
+from pebble_logit.model import expit, predict_probs
 from pebble_logit.solver import _newton_lin
 from conftest import (
     grid_mle_1d,
