@@ -1,17 +1,16 @@
 """CSV ingestion and deterministic JSON report emission.
 
 Input is plain comma-separated UTF-8 with a header row and numeric cells.
-Reports are written by a small recursive serializer instead of ``json``
-so that floats are rendered with 17 significant digits (exact round-trip)
-and key order is insertion order - identical results produce
-byte-identical files.
+Reports go through the standard ``json`` encoder with a 2-space indent:
+keys keep insertion order and floats are written in Python's shortest
+round-trip form (``repr``), so identical results produce byte-identical
+files. A non-finite float is refused.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 
 import numpy as np
 
@@ -87,43 +86,28 @@ def load_csv(path: str, response: str, intercept: bool = False) -> Dataset:
     return Dataset(x=x, y=y, columns=tuple(names))
 
 
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise DataIOError(f"refusing to serialize non-finite value {x!r}")
-    return format(x, ".17g")
-
-
-def dumps(value, indent: int = 0) -> str:
-    """Serialize to JSON with stable key order and round-trip floats."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _plain(value):
+    """The report in ``json``'s own types: arrays and tuples become lists
+    and numpy scalars Python scalars. A path argument that is not UTF-8
+    arrives with surrogate escapes; its undecodable bytes become backslash
+    escapes."""
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [
-            f'{inner}"{key}": {dumps(val, indent + 1)}' for key, val in value.items()
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+        return {key: _plain(val) for key, val in value.items()}
     if isinstance(value, (list, tuple, np.ndarray)):
-        items = list(value)
-        if not items:
-            return "[]"
-        parts = [f"{inner}{dumps(val, indent + 1)}" for val in items]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+        return [_plain(val) for val in value]
+    if isinstance(value, np.generic):
+        return value.item()
     if isinstance(value, str):
-        # A path argument that is not UTF-8 arrives with surrogate escapes;
-        # its undecodable bytes are written as backslash escapes.
-        value = value.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
-        return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
-    raise DataIOError(f"cannot serialize {type(value).__name__} value")
+        return value.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+    return value
+
+
+def dumps(value) -> str:
+    """Serialize to JSON with stable key order and round-trip floats."""
+    try:
+        return json.dumps(_plain(value), indent=2, ensure_ascii=False, allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise DataIOError(f"cannot serialize the report: {exc}") from None
 
 
 def emit_report(report: dict, path: str | None) -> None:

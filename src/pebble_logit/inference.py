@@ -28,7 +28,10 @@ is the set of β whose smoothed-pivot norm is at most the (1-α) quantile
 of the bootstrap pivot norms.
 
 All bootstrap quantiles are nearest-rank order statistics: the
-``ceil(m * γ)``-th smallest of m samples.
+``ceil(m * γ)``-th smallest of m samples, the rank clamped to 1..m.
+``make_intervals`` sorts the coordinate pivots once and reads all 4p
+endpoint quantiles from that sort; it checks α once, so at an α whose
+1 - α/2 rounds to 1 the endpoints are the extreme order statistics.
 
 The Wald baseline, ``normal_intervals``, takes its normal quantiles from
 ``statistics.NormalDist`` and its region radius from
@@ -79,10 +82,6 @@ class BootstrapEnsemble:
     seed: int
     smoothing: SmoothingConfig
 
-    @property
-    def n_reps(self) -> int:
-        return self.h_norms.shape[0]
-
 
 @dataclass(frozen=True)
 class IntervalSet:
@@ -105,14 +104,29 @@ def _check_alpha(alpha: float) -> None:
         raise UsageError("alpha must lie in (0, 1)")
 
 
+def _interval_set(alpha: float, ends: np.ndarray, radius: float) -> IntervalSet:
+    """An IntervalSet from its (4, p) endpoints, one row per pivot quantile
+    level: γ = 1 - α/2 and α/2 give the two-sided lo and hi, α the upper
+    end and 1 - α the lower end."""
+    lo, hi, upper, lower = ends
+    return IntervalSet(alpha=alpha, two_sided=np.column_stack([lo, hi]), upper=upper,
+                       lower=lower, region_radius=radius)
+
+
+def _nearest_rank(samples: np.ndarray, levels) -> np.ndarray:
+    """The ceil(m*γ)-th smallest of the m samples along axis 0, the rank
+    clamped to 1..m, with one row per level γ. The samples are sorted once."""
+    m = samples.shape[0]
+    if m == 0:
+        raise EmptySampleError("cannot take a quantile of an empty sample")
+    ranks = np.clip(np.ceil(m * np.asarray(levels)).astype(int), 1, m)
+    return np.sort(samples, axis=0)[ranks - 1]
+
+
 def quantile(samples, alpha: float) -> float:
     """Nearest-rank quantile: the ceil(m*alpha)-th smallest of m samples."""
-    a = np.asarray(samples, dtype=float).ravel()
-    if a.size == 0:
-        raise EmptySampleError("cannot take a quantile of an empty sample")
     _check_alpha(alpha)
-    k = min(max(int(np.ceil(a.size * alpha)), 1), a.size)
-    return float(np.partition(a, k - 1)[k - 1])
+    return float(_nearest_rank(np.asarray(samples, dtype=float).ravel(), [alpha])[0])
 
 
 def _replicate_threads(n: int) -> int:
@@ -229,36 +243,24 @@ def run_pebble(
 
 
 def make_intervals(fitted: FittedModel, ensemble: BootstrapEnsemble, alpha: float) -> IntervalSet:
-    """Percentile-t intervals for every coordinate plus the region radius."""
+    """Percentile-t intervals for every coordinate plus the region radius.
+    Raises UsageError unless 0 < alpha < 1."""
+    _check_alpha(alpha)
     cfg = ensemble.smoothing
-    beta_hat = fitted.beta_hat
-    p = beta_hat.shape[0]
-    sqn = np.sqrt(fitted.n)
     sj = np.sqrt(np.diag(fitted.sigma_hat))
     corr = cfg.bn * (fitted.l_hat_inv @ cfg.z_original) / sj
-    two_sided = np.empty((p, 2))
-    upper = np.empty(p)
-    lower = np.empty(p)
-    for j in range(p):
-        pivots_j = ensemble.coord_pivots[:, j]
-        l1 = quantile(pivots_j, alpha / 2) - corr[j]
-        u1 = quantile(pivots_j, 1 - alpha / 2) - corr[j]
-        two_sided[j, 0] = beta_hat[j] - sj[j] * u1 / sqn
-        two_sided[j, 1] = beta_hat[j] - sj[j] * l1 / sqn
-        l2 = quantile(pivots_j, alpha) - corr[j]
-        u2 = quantile(pivots_j, 1 - alpha) - corr[j]
-        upper[j] = beta_hat[j] - sj[j] * l2 / sqn
-        lower[j] = beta_hat[j] - sj[j] * u2 / sqn
-    radius = quantile(ensemble.h_norms, 1 - alpha)
-    return IntervalSet(
-        alpha=alpha, two_sided=two_sided, upper=upper, lower=lower, region_radius=radius
-    )
+    levels = [1 - alpha / 2, alpha / 2, alpha, 1 - alpha]  # rows of _interval_set
+    q = _nearest_rank(ensemble.coord_pivots, levels) - corr
+    radius = float(_nearest_rank(ensemble.h_norms, [1 - alpha])[0])
+    return _interval_set(alpha, fitted.beta_hat - sj * q / np.sqrt(fitted.n), radius)
 
 
 def region_contains(beta0, fitted: FittedModel, ensemble: BootstrapEnsemble, alpha: float) -> bool:
-    """Is beta0 inside the (1-alpha) confidence region?"""
+    """Is beta0 inside the (1-alpha) confidence region? Raises UsageError
+    unless 0 < alpha < 1."""
+    _check_alpha(alpha)
     bundle = pivot_smoothed(fitted, beta0, ensemble.smoothing)
-    return bool(bundle.h_norm <= quantile(ensemble.h_norms, 1 - alpha))
+    return bool(bundle.h_norm <= _nearest_rank(ensemble.h_norms, [1 - alpha])[0])
 
 
 def normal_intervals(fitted: FittedModel, alpha: float) -> IntervalSet:
@@ -270,18 +272,12 @@ def normal_intervals(fitted: FittedModel, alpha: float) -> IntervalSet:
     and alpha themselves, which are exact, rather than at 1 - alpha/2 and
     1 - alpha, which round."""
     _check_alpha(alpha)
-    beta_hat = fitted.beta_hat
-    p = beta_hat.shape[0]
     se = np.sqrt(np.diag(fitted.l_hat_inv) / fitted.n)
     z_two = -NormalDist().inv_cdf(alpha / 2)
     z_one = -NormalDist().inv_cdf(alpha)
-    two_sided = np.column_stack([beta_hat - z_two * se, beta_hat + z_two * se])
-    upper = beta_hat + z_one * se
-    lower = beta_hat - z_one * se
-    radius = math.sqrt(chi2_upper_quantile(p, alpha))
-    return IntervalSet(
-        alpha=alpha, two_sided=two_sided, upper=upper, lower=lower, region_radius=radius
-    )
+    q = np.array([[z_two], [-z_two], [-z_one], [z_one]])
+    radius = math.sqrt(chi2_upper_quantile(se.shape[0], alpha))
+    return _interval_set(alpha, fitted.beta_hat - q * se, radius)
 
 
 def chi2_upper_quantile(p: int, alpha: float) -> float:

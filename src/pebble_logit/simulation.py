@@ -29,7 +29,7 @@ from .errors import (
     UsageError,
 )
 from .model import Dataset, expit
-from .inference import make_intervals, normal_intervals, region_contains, run_pebble
+from .inference import MIN_BOOTSTRAP, make_intervals, normal_intervals, region_contains, run_pebble
 from .rng import RandomStream
 from .solver import fit_mle
 
@@ -54,8 +54,8 @@ class Scenario:
             raise UsageError("n must exceed p")
         if self.reps < 1:
             raise UsageError("reps must be >= 1")
-        if self.boot < 100:
-            raise UsageError("boot must be >= 100")
+        if self.boot < MIN_BOOTSTRAP:
+            raise UsageError(f"boot must be >= {MIN_BOOTSTRAP}")
         if not 0.0 < self.alpha <= 0.5:
             raise UsageError("alpha must lie in (0, 0.5]")
 
@@ -168,8 +168,11 @@ def run_coverage_study(scn: Scenario, workers: int = 1) -> CoverageReport:
     Experiments are independent; ``workers`` > 1 fans them out over
     processes. Results are reduced in experiment order, so the report is a
     deterministic function of the scenario alone. Raises TooManyFailuresError
-    when ``MAX_EXPERIMENT_FAILURE_RATE`` of the reps or more are dropped.
+    when ``MAX_EXPERIMENT_FAILURE_RATE`` of the reps or more are dropped,
+    and UsageError when workers < 1.
     """
+    if workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(

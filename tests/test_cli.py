@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from golden.regenerate import write_inputs
 from pebble_logit.cli import main
+
+# The largest level --level accepts: alpha = 1.1e-16, so 1 - alpha/2 rounds to 1.
+LARGEST_LEVEL = "0.9999999999999999"
 
 
 def _logistic_csv(n, seed, extra=""):
@@ -31,6 +35,14 @@ def fixture_csv(tmp_path):
     path = tmp_path / "data.csv"
     path.write_bytes(_logistic_csv(60, 4))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def ci_small_csv(tmp_path_factory):
+    """The seed-1 ``ci_small`` CSV of the benchmark workloads."""
+    directory = tmp_path_factory.mktemp("workloads")
+    write_inputs(directory)
+    return str(directory / "ci_small.csv")
 
 
 def run(argv):
@@ -102,6 +114,15 @@ class TestCi:
         assert report["config"]["bn"] == 0.2
         assert report["config"]["d_var"] == [0.5, 0.5]
 
+    def test_largest_level(self, ci_small_csv, capsys):
+        code = run(["ci", "--data", ci_small_csv, "--response", "y", "--intercept",
+                    "--boot", "200", "--seed", "1", "--level", LARGEST_LEVEL])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        for entry in report["intervals"]:
+            lo, hi = entry["two_sided"]
+            assert lo < hi and entry["upper"] == hi and entry["lower"] == lo
+
 
 class TestRegion:
     def test_region_report(self, fixture_csv, capsys):
@@ -113,6 +134,12 @@ class TestRegion:
         report = json.loads(capsys.readouterr().out)
         assert report["region_radius"] > 0
         assert report["normal_region_radius"] == pytest.approx(np.sqrt(4.60517), abs=1e-4)
+
+    def test_largest_level(self, ci_small_csv, capsys):
+        code = run(["region", "--data", ci_small_csv, "--response", "y", "--intercept",
+                    "--boot", "200", "--seed", "1", "--level", LARGEST_LEVEL])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["region_radius"] > 0
 
 
 class TestSimulate:
@@ -132,6 +159,13 @@ class TestSimulate:
 class TestErrorPaths:
     def test_usage_bad_level(self, fixture_csv, capsys):
         code = run(["ci", "--data", fixture_csv, "--response", "y", "--level", "0.3"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("ERROR:usage:")
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_usage_bad_workers(self, capsys, workers):
+        code = run(["simulate", "--n", "60", "--p", "2", "--reps", "2", "--boot", "100",
+                    "--workers", workers])
         assert code == 2
         assert capsys.readouterr().err.startswith("ERROR:usage:")
 

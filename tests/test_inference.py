@@ -432,6 +432,41 @@ class TestMakeIntervals:
         assert iv.two_sided[0, 0] == pytest.approx(-0.9, abs=1e-12)
         assert iv.two_sided[0, 1] == pytest.approx(3.1, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.37])
+    def test_endpoints_match_per_coordinate_quantiles(self, alpha):
+        data, fitted, stream = small_problem(seed=31, n=100, p=3)
+        ensemble = run_pebble(data, fitted, 150, stream)
+        iv = make_intervals(fitted, ensemble, alpha)
+        cfg = ensemble.smoothing
+        sj = np.sqrt(np.diag(fitted.sigma_hat))
+        corr = cfg.bn * (fitted.l_hat_inv @ cfg.z_original) / sj
+        for j in range(3):
+            def end(level):
+                q = quantile(ensemble.coord_pivots[:, j], level) - corr[j]
+                return fitted.beta_hat[j] - sj[j] * q / np.sqrt(fitted.n)
+
+            assert iv.two_sided[j, 0] == end(1 - alpha / 2)
+            assert iv.two_sided[j, 1] == end(alpha / 2)
+            assert iv.upper[j] == end(alpha)
+            assert iv.lower[j] == end(1 - alpha)
+        assert iv.region_radius == quantile(ensemble.h_norms, 1 - alpha)
+
+    def test_largest_cli_level_takes_extreme_order_statistics(self):
+        # --level 0.9999999999999999 gives alpha = 1.1e-16, where 1 - alpha/2
+        # rounds to 1: every endpoint comes from the smallest or largest pivot.
+        data, fitted, stream = small_problem(seed=29, n=120)
+        ensemble = run_pebble(data, fitted, 200, stream)
+        iv = make_intervals(fitted, ensemble, 1.0 - 0.9999999999999999)
+        cfg = ensemble.smoothing
+        sj = np.sqrt(np.diag(fitted.sigma_hat))
+        corr = cfg.bn * (fitted.l_hat_inv @ cfg.z_original) / sj
+        pivots = ensemble.coord_pivots
+        lo = fitted.beta_hat - sj * (pivots.max(axis=0) - corr) / np.sqrt(fitted.n)
+        hi = fitted.beta_hat - sj * (pivots.min(axis=0) - corr) / np.sqrt(fitted.n)
+        assert np.array_equal(iv.two_sided, np.column_stack([lo, hi]))
+        assert np.array_equal(iv.upper, hi) and np.array_equal(iv.lower, lo)
+        assert iv.region_radius == ensemble.h_norms.max()
+
     def test_interval_ordering_and_nesting(self):
         data, fitted, stream = small_problem(seed=29, n=120)
         ensemble = run_pebble(data, fitted, 400, stream)
@@ -499,6 +534,12 @@ class TestRegionContains:
         ensemble = run_pebble(data, fitted, 200, stream)
         far = np.full(data.p, 1e6)
         assert not region_contains(far, fitted, ensemble, 0.1)
+
+    def test_alpha_whose_complement_rounds_to_one(self):
+        # 1 - 1e-17 is 1.0: the radius is the largest pivot norm, not an error.
+        data, fitted, stream = small_problem(seed=43)
+        ensemble = run_pebble(data, fitted, 200, stream)
+        assert region_contains(fitted.beta_hat, fitted, ensemble, 1e-17)
 
 
 class TestNormalIntervals:
