@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -52,14 +53,26 @@ def load_csv(path: str, response: str, intercept: bool = False) -> Dataset:
     if not body:
         raise ParseError(f"{path}: no data rows")
 
-    x = np.empty((len(body), len(cov_idx)))
+    names = [header[i] for i in cov_idx]
+    if intercept:
+        names = [INTERCEPT_NAME] + names
+    # Column-major, as Dataset keeps it, with the intercept column in place.
+    lead = int(intercept)
+    x = np.empty((len(body), lead + len(cov_idx)), order="F")
+    x[:, :lead] = 1.0
+    cells = _cells(body, len(header))
+    if cells is not None and np.all((cells[:, resp_idx] == 0.0) | (cells[:, resp_idx] == 1.0)):
+        x[:, lead:] = cells[:, cov_idx]
+        return Dataset(x=x, y=cells[:, resp_idx], columns=tuple(names))
+
+    # A bad file: the cell by cell parse raises at its first bad row or cell.
     y = np.empty(len(body))
     for r, row in enumerate(body, start=2):
         if len(row) != len(header):
             raise ParseError(
                 f"{path}: row {r} has {len(row)} fields, header has {len(header)}"
             )
-        for c, i in enumerate(cov_idx):
+        for c, i in enumerate(cov_idx, start=lead):
             try:
                 x[r - 2, c] = float(row[i])
             except ValueError:
@@ -78,12 +91,21 @@ def load_csv(path: str, response: str, intercept: bool = False) -> Dataset:
                 f"{path}: row {r}: response value {row[resp_idx]} is not 0 or 1"
             )
         y[r - 2] = val
-
-    names = [header[i] for i in cov_idx]
-    if intercept:
-        x = np.column_stack([np.ones(len(body)), x])
-        names = [INTERCEPT_NAME] + names
     return Dataset(x=x, y=y, columns=tuple(names))
+
+
+def _cells(body, width: int):
+    """Every cell of the data rows as one (rows, width) float array, each
+    cell through ``float`` as the cell by cell parse reads it; None when a
+    row is not ``width`` long or a cell is not a number."""
+    if any(len(row) != width for row in body):
+        return None
+    try:
+        cells = np.fromiter(map(float, chain.from_iterable(body)), float,
+                            count=len(body) * width)
+    except ValueError:
+        return None
+    return cells.reshape(len(body), width)
 
 
 def _plain(value):

@@ -57,7 +57,7 @@ from .model import Dataset, expit
 from .perturb import DEFAULT_WEIGHTS, _solve_replicate
 from .pivots import SmoothingConfig, _star_bundle, draw_smoothing, pivot_smoothed
 from .rng import RandomStream, ScratchStream
-from .solver import FittedModel
+from .solver import FittedModel, _start_state
 
 MIN_BOOTSTRAP = 100
 MAX_FAILURE_RATE = 0.01
@@ -176,6 +176,9 @@ def run_pebble(
     p_hat = expit(x @ beta_hat)
     lin0 = x.T @ p_hat
     s = x * (y - p_hat)[:, None]
+    # Every replicate's Newton solve starts at β̂, so its first round is
+    # built once here and shared by every chunk and thread.
+    start = _start_state(x, beta_hat)
     mu = DEFAULT_WEIGHTS.mu
     sqrt_d = np.sqrt(cfg.d_var)
 
@@ -194,7 +197,7 @@ def run_pebble(
                 gen = scratch.rekey(stream, "boot", r)
                 nu[i] = (DEFAULT_WEIGHTS.draw(gen, n) - mu) / mu
                 z_star[i] = gen.standard_normal(p) * sqrt_d
-            beta_star, solved = _solve_replicate(x, lin0, s, beta_hat, nu)
+            beta_star, solved = _solve_replicate(x, lin0, s, start, nu)
             # A full slice while every row solved keeps the rows views.
             rows = slice(None) if solved.all() else np.flatnonzero(solved)
             dest = np.asarray(reps)[rows]

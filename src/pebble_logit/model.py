@@ -17,6 +17,11 @@ weights) and returns one result per row. Each is a matmul with a leading
 batch axis, never a 2-D gemm over the rows, because OpenBLAS blocks a 2-D
 gemm by its row count and so gives a row different last bits next to
 different neighbours; the stacked form gives row r the same bytes at any k.
+That also needs every stack to be C-contiguous: matmul picks its path by
+the operands' layout, so a row sliced from a stack of another layout and
+a fresh row could round differently. The design is column-major
+(:class:`Dataset` stores it so), which makes x' C-contiguous for
+``predictors`` and the (k, p, n) temporary of ``weighted_gram`` too.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ class Dataset:
     columns: tuple[str, ...] | None = field(default=None)
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
+        # Column-major: the stacked products below read x' row by row.
+        x = np.asfortranarray(np.atleast_2d(np.asarray(self.x, dtype=float)))
         y = np.asarray(self.y, dtype=float).ravel()
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -122,5 +128,6 @@ def row_products(v, x) -> np.ndarray:
 
 def weighted_gram(x, w) -> np.ndarray:
     """x' diag(w_r) x for each row w_r of w (k, n): a (k, p, p) stack. Its
-    (k, n, p) temporary is the largest array of a batched replicate call."""
-    return x.T @ (x * w[:, :, None])
+    (k, p, n) temporary is the largest array of a batched replicate call;
+    for a column-major x it is C-contiguous."""
+    return (x.T * w[:, None, :]) @ x

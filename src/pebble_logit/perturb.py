@@ -52,7 +52,9 @@ def _solve_replicate(x, lin0, s, beta_hat, nu):
     """Replicate Newton solves from β̂ for a chunk of k replicates, given the
     per-dataset pieces lin0 = x'p̂ and the residual-scaled design rows
     s = (y - p̂) x, and the centered-scaled weights nu = (G* - mu)/mu, one
-    replicate per row (k, n). Returns β* (k, p) and a mask (k,) of the rows
-    whose solve converged; row r's bytes do not depend on the other rows."""
+    replicate per row (k, n). ``beta_hat`` is β̂ (p,) or its
+    ``solver._start_state``, which a run builds once for all its chunks.
+    Returns β* (k, p) and a mask (k,) of the rows whose solve converged;
+    row r's bytes do not depend on the other rows."""
     t, _, _, status = _newton_lin(x, lin0 + row_products(nu, s), beta_hat)
     return t, status == CONVERGED

@@ -54,6 +54,27 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(p, "y")
 
+    def test_cells_read_as_float_reads_them(self, tmp_path):
+        # Quotes, spaces, exponents, underscores and -0, with the response
+        # between two covariates.
+        p = write(tmp_path / "d.csv", 'a,y,b\n" 1.5",1,-0\n2e-3,0,"7"\n-0.25,1.0,1_000\n4,0,-3\n')
+        data = load_csv(p, "y", intercept=True)
+        x = [[1.0, 1.5, -0.0], [1.0, 2e-3, 7.0], [1.0, -0.25, 1000.0], [1.0, 4.0, -3.0]]
+        assert data.x.tobytes(order="C") == np.array(x).tobytes()
+        assert data.y.tobytes() == np.array([1.0, 0.0, 1.0, 0.0]).tobytes()
+        assert data.columns == ("_intercept", "a", "b")
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("a,y\n1,0\nfoo,1\n1\n", ParseError, "row 3, column 'a': cannot parse 'foo'"),
+        ("a,y\n1\nfoo,1\n", ParseError, "row 2 has 1 fields, header has 2"),
+        ("a,y\n1,2\nfoo,1\n", NonBinaryResponseError, "row 2: response value 2 is not 0 or 1"),
+        ("a,y\n1,0\n2,yes\n3,1,4\n", NonBinaryResponseError, "row 3: response 'yes' is"),
+    ])
+    def test_first_bad_row_reported(self, tmp_path, text, error, message):
+        p = write(tmp_path / "d.csv", text)
+        with pytest.raises(error, match=message):
+            load_csv(p, "y")
+
     def test_empty_and_headers_only(self, tmp_path):
         with pytest.raises(ParseError):
             load_csv(write(tmp_path / "e.csv", ""), "y")

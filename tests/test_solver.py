@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from pebble_logit import Dataset, SeparationError, fit_mle, solver
+from pebble_logit import (
+    Dataset,
+    RandomStream,
+    SeparationError,
+    fit_mle,
+    inference,
+    run_pebble,
+    solver,
+)
 from pebble_logit.model import expit, predict_probs
-from pebble_logit.solver import _newton_lin
+from pebble_logit.solver import _newton_lin, _start_state
 from conftest import (
     grid_mle_1d,
     log_likelihood,
@@ -181,3 +189,63 @@ class TestFitWeightedEquation:
             else:
                 lo = mid
         assert t[0] == pytest.approx(0.5 * (lo + hi), abs=1e-8)
+
+
+def mixed_batch():
+    """(x, lin, β̂) for a batch of three rows from β̂: row 0 is the MLE's
+    own equation, converged at the start; row 1 has a small offset; row 2
+    solves for labels that the sign of x_1 separates, with one point at
+    x = (1e-6, 0), so it diverges."""
+    rng = np.random.default_rng(33)
+    x = rng.standard_normal((60, 2))
+    x[0] = [1e-6, 0.0]
+    data = Dataset(x=x, y=(rng.random(60) < expit(x @ [1.0, -0.5])).astype(float))
+    beta_hat = fit_mle(data).beta_hat
+    lin0, _ = replicate_pieces(data, beta_hat)
+    lin = np.array([lin0, lin0 + [2.0, -1.5], x.T @ (x[:, 0] > 0.0)])
+    return data.x, lin, beta_hat
+
+
+class TestSharedStart:
+    def test_state_matches_point(self):
+        # A start state built once gives every row the bytes that a (p,)
+        # start computed inside the call gives, whichever round it leaves in.
+        x, lin, beta_hat = mixed_batch()
+        from_point = _newton_lin(x, lin, beta_hat)
+        from_state = _newton_lin(x, lin, _start_state(x, beta_hat))
+        assert from_point[3].tolist() == [solver.CONVERGED, solver.CONVERGED, solver.DIVERGED]
+        for a, b in zip(from_point, from_state):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_state_is_read_only(self):
+        x, _, beta_hat = mixed_batch()
+        state = _start_state(x, beta_hat)
+        with pytest.raises(ValueError):
+            state.hess[0, 0, 0] = 0.0
+
+
+class TestLayout:
+    def test_point_start_gives_c_contiguous_stack(self):
+        # A row slice of the returned stack and a fresh row then take the
+        # same matmul path in the pivots.
+        x, lin, beta_hat = mixed_batch()
+        t, _, _, _ = _newton_lin(x, lin, beta_hat)
+        assert t.flags.c_contiguous
+
+    def test_design_is_column_major(self):
+        data = random_dataset(np.random.default_rng(14), 30, 3)
+        assert data.x.flags.f_contiguous
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    def test_design_order_keeps_ensemble_bytes(self, monkeypatch, chunk):
+        base = random_dataset(np.random.default_rng(15), 120, 3)
+        if chunk is not None:
+            monkeypatch.setattr(inference, "_chunk_size", lambda n, p: chunk)
+
+        def ensemble(x):
+            data = Dataset(x=x, y=base.y)
+            e = run_pebble(data, fit_mle(data), 150, RandomStream(21))
+            return (e.coord_pivots.tobytes(), e.h_norms.tobytes(), e.beta_stars.tobytes(),
+                    e.failed_replicates)
+
+        assert ensemble(np.ascontiguousarray(base.x)) == ensemble(np.asfortranarray(base.x))
