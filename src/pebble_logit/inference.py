@@ -4,14 +4,16 @@
 the data-side jitter Z, once per run, through ``pivots.draw_smoothing``
 (substream ``smooth``, index 0, of the stream it is given) and keeps it
 on the ensemble, since every interval endpoint reuses it. Replicate r
-draws its weights and then its jitter Z* from the substream
-``("boot", r)``, and it is solved once. A replicate whose estimating
-equation has no root, or whose L* or M* is singular, or whose pivot
+takes its weights and its jitter Z* from one block of
+M = ``perturb._block_size(n, p)`` uniforms, the values [rM, (r+1)M) of the
+substream ``("boot", 0)``, and it is solved once. A replicate whose
+estimating equation has no root, or whose L* or M* is singular, or whose pivot
 overflows, is dropped and counted: a redraw kept only when it solves would
 leave the survivors' law unchanged (G* conditioned on the equation having
 a root) and hide the loss from the ``MAX_FAILURE_RATE`` guard.
 
-The replicates run in chunks of k, solved and pivoted by one batched call
+The replicates run in chunks of k, drawn by one call each
+(``perturb._replicate_draws``) and solved and pivoted by one batched call
 each (``perturb._solve_replicate``, then ``pivots._star_bundle`` for the
 rows that solved). k comes from (n, p) alone, by ``_chunk_size``: the
 largest temporary, a (k, n, p) stack, stays within 256 KiB. From
@@ -54,7 +56,7 @@ import numpy as np
 
 from .errors import EmptySampleError, TooManyFailuresError, UsageError
 from .model import Dataset, expit
-from .perturb import DEFAULT_WEIGHTS, _solve_replicate
+from .perturb import _replicate_draws, _solve_replicate
 from .pivots import SmoothingConfig, _star_bundle, draw_smoothing, pivot_smoothed
 from .rng import RandomStream, ScratchStream
 from .solver import FittedModel, _start_state
@@ -158,10 +160,11 @@ def run_pebble(
     """Run b bootstrap replicates and collect their pivot statistics.
 
     ``seed`` may be an integer or a RandomStream; replicate r always uses
-    its substream ("boot", r), at any chunk size and thread count, and is
-    solved once: a replicate that fails is dropped and counted. ``bn`` and
-    ``d_var`` override the default smoothing bandwidth and jitter variances;
-    the smoothing drawn is kept as ``ensemble.smoothing``. Raises
+    its own block of the substream ("boot", 0), at any chunk size and
+    thread count, and is solved once: a replicate that fails is dropped and
+    counted. ``bn`` and ``d_var`` override the default smoothing bandwidth
+    and jitter variances; the smoothing drawn is kept as
+    ``ensemble.smoothing``. Raises
     UsageError when b < ``MIN_BOOTSTRAP`` or ``draw_smoothing`` rejects
     ``bn`` or ``d_var``, and TooManyFailuresError when
     ``MAX_FAILURE_RATE`` of b or more fail.
@@ -179,7 +182,6 @@ def run_pebble(
     # Every replicate's Newton solve starts at β̂, so its first round is
     # built once here and shared by every chunk and thread.
     start = _start_state(x, beta_hat)
-    mu = DEFAULT_WEIGHTS.mu
     sqrt_d = np.sqrt(cfg.d_var)
 
     coord = np.full((b, p), np.nan)
@@ -187,16 +189,12 @@ def run_pebble(
     stars = np.full((b, p), np.nan)
 
     def run_chunks(chunks):
-        # One scratch generator per worker; draws are identical to
-        # stream.derive(label, r).generator by ScratchStream's contract.
+        # One scratch generator per worker, re-keyed to ("boot", 0) once per
+        # chunk; _replicate_draws skips to the chunk's first block.
         scratch = ScratchStream()
         for reps in chunks:
-            nu = np.empty((len(reps), n))
-            z_star = np.empty((len(reps), p))
-            for i, r in enumerate(reps):
-                gen = scratch.rekey(stream, "boot", r)
-                nu[i] = (DEFAULT_WEIGHTS.draw(gen, n) - mu) / mu
-                z_star[i] = gen.standard_normal(p) * sqrt_d
+            nu, z = _replicate_draws(scratch.rekey(stream, "boot", 0), reps, n, p)
+            z_star = z * sqrt_d
             beta_star, solved = _solve_replicate(x, lin0, s, start, nu)
             # A full slice while every row solved keeps the rows views.
             rows = slice(None) if solved.all() else np.flatnonzero(solved)

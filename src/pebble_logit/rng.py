@@ -75,9 +75,10 @@ class ScratchStream:
 
     ``rekey(parent, label, index)`` puts the generator into exactly the
     state of ``parent.derive(label, index).generator`` while reusing the
-    same bit-generator object, which skips the construction cost that
-    dominates short substreams (bootstrap replicates draw only a few
-    hundred values each). Single-owner, like any stream.
+    same bit-generator object, which skips the construction cost of a
+    fresh generator. ``run_pebble`` re-keys once per chunk of replicates to
+    ``("boot", 0)`` and then advances the generator to the chunk's first
+    block. Single-owner, like any stream.
     """
 
     def __init__(self):

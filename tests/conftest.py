@@ -72,6 +72,26 @@ def replicate_pieces(data: Dataset, beta_hat):
     return data.x.T @ p_hat, data.x * (data.y - p_hat)[:, None]
 
 
+def replicate_draws(stream: RandomStream, r: int, n: int, p: int):
+    """Replicate r's weights G* (n,) and standard-normal jitter Z* (p,) of a
+    run on ``stream``, replayed from the contract: with q = ceil(p/2), its
+    block of M = 4 ceil((2n + 2q)/4) uniforms is the values [rM, (r+1)M) of
+    the substream ("boot", 0), that is a fresh generator advanced by rM/4
+    Philox counter steps; G* = U1 / (1 + tan²(πU2/2)) from the first n and
+    the next n values, and Z* is Box–Muller on the last 2q, the q cosine
+    terms first, cut to p."""
+    q = -(-p // 2)
+    m = 4 * -(-(2 * n + 2 * q) // 4)
+    gen = stream.derive("boot", 0).generator
+    gen.bit_generator.advance(r * m // 4)
+    u = gen.random(m)
+    t = np.tan((np.pi / 2) * u[n:2 * n])
+    weights = u[:n] / (1.0 + t * t)
+    radius = np.sqrt(-2.0 * np.log1p(-u[m - 2 * q:m - q]))
+    angle = 2 * np.pi * u[m - q:]
+    return weights, np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:p]
+
+
 def solve_replicate(data: Dataset, beta_hat, weights) -> np.ndarray:
     """β̂* for one weight vector, through the package's replicate kernel as
     a chunk of one (a (1, n) ν); raises SeparationError when it fails."""

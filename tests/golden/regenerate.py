@@ -5,8 +5,8 @@ Every case runs ``pebble`` in process, in a directory that holds the
 seed-1 ``ci_small.csv`` and ``ci_large.csv`` of ``bench/workloads.py``,
 with a relative ``--data``, so a report does not depend on where it was
 made. ``stack.json`` records the numeric stack the files were made on:
-numpy, its BLAS/LAPACK and the SIMD target of its float64 ``exp`` and
-``log1p`` loops. ``tests/test_golden.py`` checks them.
+numpy, its BLAS/LAPACK and the SIMD target of its float64 ``exp``,
+``log1p``, ``tan``, ``cos`` and ``sin`` loops. ``tests/test_golden.py`` checks them.
 
 After a change that moves seeded outputs by design, rebuild the files from
 the repository root and record what moved:
@@ -80,12 +80,13 @@ def run_case(argv: list[str]) -> bytes:
 
 def numeric_stack() -> dict:
     """numpy's version, the BLAS/LAPACK it was built against, and the SIMD
-    target numpy dispatches its float64 ``exp`` and ``log1p`` loops to on
-    this CPU; the fitted probabilities and the objective go through them,
-    and their last bits differ between targets."""
+    target numpy dispatches its float64 ``exp``, ``log1p``, ``tan``, ``cos``
+    and ``sin`` loops to on this CPU; the fitted probabilities, the
+    objective, the weights and the bootstrap jitter go through them, and
+    their last bits differ between targets."""
     deps = np.show_config(mode="dicts")["Build Dependencies"]
     keys = ("name", "version", "openblas configuration")
-    simd = opt_func_info(func_name="^(exp|log1p)$", signature="float64")
+    simd = opt_func_info(func_name="^(exp|log1p|tan|cos|sin)$", signature="float64")
     return {
         "numpy": np.__version__,
         **{lib: {k: deps[lib].get(k) for k in keys} for lib in ("blas", "lapack")},

@@ -244,7 +244,8 @@ class TestCriterion5:
         assert worst <= 1e-8
 
     def test_beta_weight_moments(self):
-        draws = DEFAULT_WEIGHTS.draw(RandomStream(ACCEPT_SEED).derive("w", 0).generator, 1_000_000)
+        u = RandomStream(ACCEPT_SEED).derive("w", 0).uniforms((2, 1_000_000))
+        draws = DEFAULT_WEIGHTS.draw(u[0], u[1])
         mean = draws.mean()
         centered = draws - mean
         var = float(np.mean(centered**2))

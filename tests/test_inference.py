@@ -42,6 +42,7 @@ from conftest import (
     MU,
     overlapped_data,
     random_dataset,
+    replicate_draws,
     replicate_pieces,
     solve_replicate,
     star_bundle,
@@ -109,9 +110,16 @@ class TestQuantile:
             assert _nearest_rank(samples, [alpha])[0] == expected
 
 
-def replicate_nu(n: int, sub: RandomStream) -> np.ndarray:
-    """Centered-scaled weights (G* - mu)/mu drawn first from a substream."""
-    return (DEFAULT_WEIGHTS.draw(sub.generator, n) - DEFAULT_WEIGHTS.mu) / DEFAULT_WEIGHTS.mu
+def replicate_nu(stream: RandomStream, r: int, n: int, p: int) -> np.ndarray:
+    """Centered-scaled weights (G* - mu)/mu of replicate r of a run on
+    ``stream``, replayed from its block of the substream ("boot", 0)."""
+    return (replicate_draws(stream, r, n, p)[0] - MU) / MU
+
+
+def uniform_weights(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
+    """k rows of n weights, each row from its own 2n uniforms."""
+    u = rng.random((k, 2 * n))
+    return DEFAULT_WEIGHTS.draw(u[:, :n], u[:, n:])
 
 
 def small_problem(seed=17, n=80, p=2):
@@ -206,8 +214,8 @@ class TestRunPebble:
         assert plain.failed_replicates == 0
         solve = inference._solve_replicate
         # ν of the first `failing` replicates, drawn as run_pebble draws them,
-        # from ("boot", r).
-        forced = {replicate_nu(data.n, RandomStream(8).derive("boot", r)).tobytes()
+        # from their blocks of ("boot", 0).
+        forced = {replicate_nu(RandomStream(8), r, data.n, data.p).tobytes()
                   for r in range(failing)}
 
         def flaky(x, lin0, s, beta_hat, nu):
@@ -246,17 +254,16 @@ class TestRunPebble:
         assert np.array_equal(cfg.d_var, d)
 
     def test_matches_public_per_replicate_ops(self):
-        # Replay replicate r from its own substream through the kernel.
+        # Replay replicate r from its own block through the kernel.
         data, fitted, _ = small_problem(seed=23)
         stream = RandomStream(5)
         ensemble = run_pebble(data, fitted, 120, RandomStream(5))
         cfg = ensemble.smoothing
         assert ensemble.failed_replicates == 0
         for r in (0, 7, 119):
-            sub = stream.derive("boot", r)
-            weights = DEFAULT_WEIGHTS.draw(sub.generator, data.n)
+            weights, z = replicate_draws(stream, r, data.n, data.p)
             beta_star = solve_replicate(data, fitted.beta_hat, weights)
-            z_star = sub.gaussians(data.p) * np.sqrt(cfg.d_var)
+            z_star = z * np.sqrt(cfg.d_var)
             bundle = star_bundle(data, fitted.beta_hat, beta_star, weights, cfg.bn, z_star)
             assert np.array_equal(ensemble.beta_stars[r], beta_star)
             assert np.array_equal(ensemble.coord_pivots[r], bundle.coord_pivots)
@@ -274,7 +281,7 @@ class TestRunPebble:
         # A subnormal design entry makes some replicate Hessians so nearly
         # singular that the Newton step is infinite; those replicates must
         # fail at once, without NaN trial points or RuntimeWarnings. At seed 1,
-        # 23 replicates fail so, and each is dropped and counted.
+        # 18 replicates fail so, and each is dropped and counted.
         x = np.array([[2.2e-311, 2.1790735340993193],
                       [0.24876732149455005, -1.2017286567756913],
                       [1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -282,7 +289,7 @@ class TestRunPebble:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             fitted = fit_mle(data)
-            with pytest.raises(TooManyFailuresError, match="23 of 100"):
+            with pytest.raises(TooManyFailuresError, match="18 of 100"):
                 run_pebble(data, fitted, 100, 1)
 
 
@@ -293,7 +300,7 @@ class TestBatchedRows:
         data, fitted, _ = small_problem(seed=29)
         _, s = replicate_pieces(data, fitted.beta_hat)
         rng = np.random.default_rng(30)
-        nu = (DEFAULT_WEIGHTS.draw(rng, 3 * data.n).reshape(3, data.n) - MU) / MU
+        nu = (uniform_weights(rng, 3, data.n) - MU) / MU
         nu[1, 1:] = 0.0  # one nonzero weight: M* has rank 1 < p
         beta_star = fitted.beta_hat + 0.05 * rng.standard_normal((3, data.p))
         z_star = rng.standard_normal((3, data.p))
@@ -318,7 +325,7 @@ class TestBatchedRows:
         data = Dataset(x=x, y=y)
         fitted = fit_mle(data)
         lin0, s = replicate_pieces(data, fitted.beta_hat)
-        nu = (DEFAULT_WEIGHTS.draw(rng, 3 * data.n).reshape(3, data.n) - MU) / MU
+        nu = (uniform_weights(rng, 3, data.n) - MU) / MU
         lin = lin0 + (nu[:, None, :] @ s)[:, 0, :]
         start = np.array([fitted.beta_hat, [1000.0, 0.0], fitted.beta_hat])
         with warnings.catch_warnings():

@@ -167,7 +167,8 @@ class TestPivotSmoothedStar:
         y = (rng.random(30) < 0.5).astype(float)
         data = Dataset(x=x, y=y)
         fitted = fit_mle(data)
-        weights = DEFAULT_WEIGHTS.draw(RandomStream(42).derive("w", 0).generator, 30)
+        u = RandomStream(42).derive("w", 0).uniforms(60)
+        weights = DEFAULT_WEIGHTS.draw(u[:30], u[30:])
         bundle = star_bundle(data, fitted.beta_hat, fitted.beta_hat, weights, 0.2, np.zeros(2))
         l_star, m_star = star_matrices(data, fitted.beta_hat, fitted.beta_hat, weights)
         h = smoothed_pivot_vector(m_star, l_star, np.zeros(2), 30, 0.2, np.zeros(2))

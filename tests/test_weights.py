@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from pebble_logit import Dataset, RandomStream, fit_mle
-from pebble_logit.perturb import DEFAULT_WEIGHTS
-from conftest import MU, bootstrap_score, random_dataset, solve_replicate
+from pebble_logit.perturb import DEFAULT_WEIGHTS, _block_size, _replicate_draws
+from pebble_logit.rng import ScratchStream
+from conftest import MU, bootstrap_score, random_dataset, replicate_draws, solve_replicate
 
 
 def sample_weights(stream, n):
-    return DEFAULT_WEIGHTS.draw(stream.generator, n)
+    """n weights from 2n uniforms, U1 the first n and U2 the next n, as a
+    replicate's block holds them."""
+    u = stream.uniforms(2 * n)
+    return DEFAULT_WEIGHTS.draw(u[:n], u[n:])
 
 
 def hand_case():
@@ -33,6 +38,59 @@ class TestSampleWeights:
         assert abs(mean - 0.25) <= 0.002
         assert abs(np.mean(centered**2) - 0.0625) <= 0.002
         assert abs(np.mean(centered**3) - 0.015625) <= 0.002
+
+
+class TestWeightLaw:
+    def test_tan_form_matches_cosine_form(self):
+        # G* = U1 cos²(πv/2), written as U1 / (1 + tan²(πv/2)).
+        v = np.concatenate([[0.0, 0.5, 1.0 - 2.0**-53, 1.0 - 2.0**-52, 0.25, 0.75],
+                            RandomStream(4).derive("v", 0).uniforms(100_000)])
+        u1 = np.concatenate([np.ones(6), RandomStream(4).derive("u", 0).uniforms(100_000)])
+        got = DEFAULT_WEIGHTS.draw(u1, v)
+        assert np.max(np.abs(got - u1 * np.cos(np.pi * v / 2) ** 2)) <= 1e-15
+
+    def test_weights_follow_beta_half_three_halves(self):
+        # 1000 replicates at n = 1000, from one call.
+        gen = RandomStream(7).derive("boot", 0).generator
+        weights = _replicate_draws(gen, range(1000), 1000, 1)[0].ravel() * MU + MU
+        assert weights.size >= 1_000_000
+        assert stats.kstest(weights, stats.beta(0.5, 1.5).cdf).pvalue > 1e-3
+
+    def test_jitter_is_standard_normal(self):
+        # Z* of 1000 replicates at p = 1001, from one call.
+        gen = RandomStream(6).derive("boot", 0).generator
+        z = _replicate_draws(gen, range(1000), 1, 1001)[1].ravel()
+        assert z.size >= 1_000_000
+        assert stats.kstest(z, stats.norm.cdf).pvalue > 1e-3
+
+
+class TestReplicateBlocks:
+    @pytest.mark.parametrize("n, p", [(100, 4), (200, 8), (7, 3)])
+    def test_chunk_equals_one_row_draws(self, n, p):
+        # A chunk of k rows is byte-identical to k one-row draws.
+        stream, scratch = RandomStream(12), ScratchStream()
+        nu, z = _replicate_draws(scratch.rekey(stream, "boot", 0), range(3, 12), n, p)
+        for i, r in enumerate(range(3, 12)):
+            gen = scratch.rekey(stream, "boot", 0)
+            one_nu, one_z = _replicate_draws(gen, range(r, r + 1), n, p)
+            assert one_nu.tobytes() == nu[i:i + 1].tobytes()
+            assert one_z.tobytes() == z[i:i + 1].tobytes()
+
+    @pytest.mark.parametrize("n, p", [(100, 4), (200, 8), (7, 3)])
+    def test_block_replays_from_fresh_stream(self, n, p):
+        # Row i of a chunk is replicate r of the contract, a fresh
+        # ("boot", 0) generator advanced by r·M/4.
+        stream = RandomStream(13)
+        nu, z = _replicate_draws(stream.derive("boot", 0).generator, range(4, 9), n, p)
+        for i, r in enumerate(range(4, 9)):
+            weights, z_r = replicate_draws(stream, r, n, p)
+            assert nu[i].tobytes() == ((weights - MU) / MU).tobytes()
+            assert z[i].tobytes() == z_r.tobytes()
+
+    def test_block_size(self):
+        # 2n weight uniforms and 2⌈p/2⌉ jitter uniforms, up to a multiple of 4.
+        assert [_block_size(n, p) for n, p in [(100, 4), (200, 8), (7, 3), (20000, 11), (1, 1)]] \
+            == [204, 408, 20, 40012, 4]
 
 
 class TestBootstrapScore:
