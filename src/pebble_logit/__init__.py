@@ -14,7 +14,6 @@ Everything else lives in the submodules.
 from .errors import (
     DataIOError,
     DegenerateResponseError,
-    EmptySampleError,
     InvalidDataError,
     MissingColumnError,
     NonBinaryResponseError,
@@ -46,7 +45,6 @@ __all__ = [
     "DataIOError",
     "Dataset",
     "DegenerateResponseError",
-    "EmptySampleError",
     "FittedModel",
     "IntervalSet",
     "InvalidDataError",

@@ -4,7 +4,7 @@ Every command reads CSV, writes a JSON report (file or stdout), and maps
 failures to stable exit codes: 0 ok, 2 usage, 3 data error, 4 numeric
 failure, 5 io - always with a single-line ``ERROR:<kind>:`` message on
 stderr. ``--level`` is the confidence level (0.90 means alpha = 0.1);
-``--seed`` accepts decimal or 0x-prefixed hex.
+``--seed`` accepts decimal or 0x-prefixed hex in [0, 2^64).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import click
 from .dataio import emit_report, load_csv
 from .errors import PebbleError, UsageError
 from .inference import make_intervals, normal_intervals, run_pebble
-from .rng import parse_seed
 from .simulation import Scenario, run_coverage_study
 from .solver import fit_mle
 
@@ -60,7 +59,7 @@ def _alpha_from_level(level: float) -> float:
 
 def _parse_seed_opt(seed: str) -> int:
     try:
-        return parse_seed(seed)
+        return int(seed, 0)
     except ValueError:
         raise UsageError(f"--seed {seed!r} is not a decimal or 0x-hex integer") from None
 

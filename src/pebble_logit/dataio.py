@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from itertools import chain
 
 import numpy as np
@@ -31,7 +32,8 @@ def load_csv(path: str, response: str, intercept: bool = False) -> Dataset:
 
     Covariates are every non-response column, in header order; the
     intercept flag prepends a constant-1 column named "_intercept". The
-    response column must parse to exactly 0 or 1.
+    response column must parse to exactly 0 or 1, and no column name may
+    repeat, "_intercept" included when the flag is set.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -43,61 +45,58 @@ def load_csv(path: str, response: str, intercept: bool = False) -> Dataset:
     if not rows:
         raise ParseError(f"{path}: file is empty")
     header = [name.strip() for name in rows[0]]
+    lead = int(intercept)
+    names = [INTERCEPT_NAME] * lead + header
+    repeated = [name for name, count in Counter(names).items() if count > 1]
+    if repeated:
+        raise ParseError(f"{path}: column {repeated[0]!r} is named more than once")
     if response not in header:
         raise MissingColumnError(
             f"{path}: response column {response!r} not found (columns: {', '.join(header)})"
         )
     resp_idx = header.index(response)
-    cov_idx = [i for i in range(len(header)) if i != resp_idx]
+    del names[lead + resp_idx]
     body = rows[1:]
     if not body:
         raise ParseError(f"{path}: no data rows")
 
-    names = [header[i] for i in cov_idx]
-    if intercept:
-        names = [INTERCEPT_NAME] + names
-    # Column-major, as Dataset keeps it, with the intercept column in place.
-    lead = int(intercept)
-    x = np.empty((len(body), lead + len(cov_idx)), order="F")
-    x[:, :lead] = 1.0
     cells = _cells(body, len(header))
-    if cells is not None and np.all((cells[:, resp_idx] == 0.0) | (cells[:, resp_idx] == 1.0)):
-        x[:, lead:] = cells[:, cov_idx]
-        return Dataset(x=x, y=cells[:, resp_idx], columns=tuple(names))
+    if cells is None or not np.all((cells[:, resp_idx] == 0.0) | (cells[:, resp_idx] == 1.0)):
+        raise _first_bad_row(path, body, header, resp_idx)
+    # Column-major, as Dataset keeps it, with the intercept column in place.
+    x = np.empty((len(body), len(names)), order="F")
+    x[:, :lead] = 1.0
+    x[:, lead:] = np.delete(cells, resp_idx, axis=1)
+    return Dataset(x=x, y=cells[:, resp_idx], columns=tuple(names))
 
-    # A bad file: the cell by cell parse raises at its first bad row or cell.
-    y = np.empty(len(body))
+
+def _first_bad_row(path: str, body, header: list, resp_idx: int) -> Exception:
+    """The error for the first bad row or cell in file order, once the fast
+    parse has failed: a row of the wrong length, a covariate that ``float``
+    cannot read, or a response that is not 0 or 1."""
     for r, row in enumerate(body, start=2):
         if len(row) != len(header):
-            raise ParseError(
-                f"{path}: row {r} has {len(row)} fields, header has {len(header)}"
-            )
-        for c, i in enumerate(cov_idx, start=lead):
+            return ParseError(f"{path}: row {r} has {len(row)} fields, header has {len(header)}")
+        for i, cell in enumerate(row):
             try:
-                x[r - 2, c] = float(row[i])
+                float(cell)
             except ValueError:
-                raise ParseError(
-                    f"{path}: row {r}, column {header[i]!r}: "
-                    f"cannot parse {row[i]!r} as a number"
-                ) from None
+                if i != resp_idx:
+                    return ParseError(f"{path}: row {r}, column {header[i]!r}: "
+                                      f"cannot parse {cell!r} as a number")
+        cell = row[resp_idx]
         try:
-            val = float(row[resp_idx])
+            if float(cell) not in (0.0, 1.0):
+                return NonBinaryResponseError(f"{path}: row {r}: response value {cell} "
+                                              "is not 0 or 1")
         except ValueError:
-            raise NonBinaryResponseError(
-                f"{path}: row {r}: response {row[resp_idx]!r} is not 0 or 1"
-            ) from None
-        if val not in (0.0, 1.0):
-            raise NonBinaryResponseError(
-                f"{path}: row {r}: response value {row[resp_idx]} is not 0 or 1"
-            )
-        y[r - 2] = val
-    return Dataset(x=x, y=y, columns=tuple(names))
+            return NonBinaryResponseError(f"{path}: row {r}: response {cell!r} is not 0 or 1")
 
 
 def _cells(body, width: int):
     """Every cell of the data rows as one (rows, width) float array, each
-    cell through ``float`` as the cell by cell parse reads it; None when a
-    row is not ``width`` long or a cell is not a number."""
+    cell through ``float``; None when a row is not ``width`` long or a cell
+    is not a number."""
     if any(len(row) != width for row in body):
         return None
     try:

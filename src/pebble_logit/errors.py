@@ -6,7 +6,8 @@ belongs to: 2 usage, 3 data, 4 numeric, 5 io.
 
 A bad argument to a library function (a bandwidth or jitter variance that
 is not finite and > 0, too few bootstrap replicates, an alpha or a
-``Scenario`` field out of range) raises :class:`UsageError`, which is also
+``Scenario`` field out of range, a seed outside [0, 2^64), an empty
+bootstrap ensemble) raises :class:`UsageError`, which is also
 a ``ValueError``.
 """
 
@@ -66,10 +67,6 @@ class SeparationError(NumericError):
 
 class TooManyFailuresError(NumericError):
     kind = "too-many-failures"
-
-
-class EmptySampleError(NumericError):
-    kind = "empty-sample"
 
 
 class DataIOError(PebbleError):

@@ -16,11 +16,12 @@ The replicates run in chunks of k, drawn by one call each
 (``perturb._replicate_draws``) and solved and pivoted by one batched call
 each (``perturb._solve_replicate``, then ``pivots._star_bundle`` for the
 rows that solved). k comes from (n, p) alone, by ``_chunk_size``: the
-largest temporary, a (k, n, p) stack, stays within 256 KiB. From
-n = 2000 on, threads take whole chunks. Every per-replicate product is
-stacked so that a replicate's bytes do not depend on its chunk-mates, so
-the ensemble is a deterministic function of (data, seed, B) at any chunk
-size and thread count.
+(k, n, p) stacks stay within 256 KiB. They are a chunk's largest arrays
+from p = 3 on; at p = 1 the (k, M) uniform block, M ≈ 2n, is up to about
+twice the budget. From n = 2000 on, threads take whole chunks. Every
+per-replicate product is stacked so that a replicate's bytes do not
+depend on its chunk-mates, so the ensemble is a deterministic function
+of (data, seed, B) at any chunk size and thread count.
 
 Interval endpoints follow the percentile-t construction: for coordinate j
 with sandwich scale s_j = Σ̂_jj^{1/2} and bootstrap coordinate-pivot
@@ -54,7 +55,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import EmptySampleError, TooManyFailuresError, UsageError
+from .errors import TooManyFailuresError, UsageError
 from .model import Dataset, expit
 from .perturb import _replicate_draws, _solve_replicate
 from .pivots import SmoothingConfig, _star_bundle, draw_smoothing, pivot_smoothed
@@ -66,10 +67,10 @@ MAX_FAILURE_RATE = 0.01
 # On a 2-CPU host two threads took 0.85-0.87 of one thread's time at
 # n = 2000 (p = 4 and 11), tied at 1500 and lost at 1000 and below.
 _THREADS_MIN_N = 2000
-# A chunk of k replicates is solved and pivoted in one batched call. Its
-# largest temporary is a (k, n, p) float64 stack; holding that to 256 KiB
-# kept nearly all of the batching gain at (200, 8) and (100, 4) with a
-# peak-memory rise under 1 MB, where chunks of 64-128 cost 3-6 MB more.
+# A chunk of k replicates is solved and pivoted in one batched call.
+# Holding its (k, n, p) float64 stacks to 256 KiB kept nearly all of the
+# batching gain at (200, 8) and (100, 4) with a peak-memory rise under
+# 1 MB, where chunks of 64-128 cost 3-6 MB more.
 _CHUNK_BYTES = 256 * 1024
 _MAX_CHUNK = 256
 
@@ -123,10 +124,11 @@ def _interval_set(alpha: float, ends: np.ndarray, radius: float) -> IntervalSet:
 
 def _nearest_rank(samples: np.ndarray, levels) -> np.ndarray:
     """The ceil(m*γ)-th smallest of the m samples along axis 0, the rank
-    clamped to 1..m, with one row per level γ. The samples are sorted once."""
+    clamped to 1..m, with one row per level γ. The samples are sorted once;
+    an empty sample, which only a hand-built ensemble holds, is a UsageError."""
     m = samples.shape[0]
     if m == 0:
-        raise EmptySampleError("cannot take a quantile of an empty sample")
+        raise UsageError("cannot take a quantile of an empty sample")
     ranks = np.clip(np.ceil(m * np.asarray(levels)).astype(int), 1, m)
     return np.sort(samples, axis=0)[ranks - 1]
 
@@ -144,7 +146,8 @@ def _replicate_threads(n: int) -> int:
 
 def _chunk_size(n: int, p: int) -> int:
     """Replicates per batched call: as many as keep a (k, n, p) float64
-    temporary within ``_CHUNK_BYTES``, between 1 and ``_MAX_CHUNK``. It
+    temporary within ``_CHUNK_BYTES``, between 1 and ``_MAX_CHUNK`` (the
+    (k, M) uniform block, 527 KB at n = 200 and p = 1, is not counted). It
     depends on (n, p) alone, and no output depends on it."""
     return min(max(_CHUNK_BYTES // (8 * n * p), 1), _MAX_CHUNK)
 
@@ -165,8 +168,8 @@ def run_pebble(
     counted. ``bn`` and ``d_var`` override the default smoothing bandwidth
     and jitter variances; the smoothing drawn is kept as
     ``ensemble.smoothing``. Raises
-    UsageError when b < ``MIN_BOOTSTRAP`` or ``draw_smoothing`` rejects
-    ``bn`` or ``d_var``, and TooManyFailuresError when
+    UsageError when b < ``MIN_BOOTSTRAP``, the seed is outside [0, 2^64)
+    or ``draw_smoothing`` rejects ``bn`` or ``d_var``, and TooManyFailuresError when
     ``MAX_FAILURE_RATE`` of b or more fail.
     """
     if b < MIN_BOOTSTRAP:
@@ -248,8 +251,8 @@ def region_contains(beta0, fitted: FittedModel, ensemble: BootstrapEnsemble, alp
     """Is beta0 inside the (1-alpha) confidence region? Raises UsageError
     unless 0 < alpha < 1."""
     _check_alpha(alpha)
-    bundle = pivot_smoothed(fitted, beta0, ensemble.smoothing)
-    return bool(bundle.h_norm <= _nearest_rank(ensemble.h_norms, [1 - alpha])[0])
+    _, h_norm = pivot_smoothed(fitted, beta0, ensemble.smoothing)
+    return bool(h_norm <= _nearest_rank(ensemble.h_norms, [1 - alpha])[0])
 
 
 def normal_intervals(fitted: FittedModel, alpha: float) -> IntervalSet:

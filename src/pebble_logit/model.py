@@ -88,11 +88,6 @@ def expit(z):
         return 1.0 / (1.0 + np.exp(-z))
 
 
-def predict_probs(beta, x) -> np.ndarray:
-    """Vector of success probabilities for all rows of x."""
-    return expit(np.asarray(x, dtype=float) @ np.asarray(beta, dtype=float))
-
-
 def info_matrix(beta, x) -> np.ndarray:
     """Mean information matrix n^{-1} sum_i w_i x_i x_i', w_i = p_i (1 - p_i),
     at one coefficient vector beta (p,), or at each row of a stack (k, p)
@@ -111,7 +106,7 @@ def info_matrix(beta, x) -> np.ndarray:
 def sandwich_mid(beta, x, y) -> np.ndarray:
     """Sandwich middle matrix n^{-1} sum_i (y_i - p_i)^2 x_i x_i'."""
     x = np.asarray(x, dtype=float)
-    r = np.asarray(y, dtype=float) - predict_probs(beta, x)
+    r = np.asarray(y, dtype=float) - expit(x @ np.asarray(beta, dtype=float))
     s = x * r[:, None]
     return symmetrize(s.T @ s / x.shape[0])
 
@@ -128,6 +123,6 @@ def row_products(v, x) -> np.ndarray:
 
 def weighted_gram(x, w) -> np.ndarray:
     """x' diag(w_r) x for each row w_r of w (k, n): a (k, p, p) stack. Its
-    (k, p, n) temporary is the largest array of a batched replicate call;
-    for a column-major x it is C-contiguous."""
+    (k, p, n) temporary is the largest array of a batched replicate call
+    from p = 3 on; for a column-major x it is C-contiguous."""
     return (x.T * w[:, None, :]) @ x

@@ -88,23 +88,17 @@ def draw_smoothing(
         d = np.full(p, d.item())
     if d.shape != (p,) or not np.all(np.isfinite(d) & (d > 0.0)):
         raise UsageError(f"d_var needs 1 or {p} values, all finite and > 0, got {d_var}")
-    z = stream.derive("smooth", 0).gaussians(p) * np.sqrt(d)
+    z = stream.derive("smooth", 0).generator.standard_normal(p) * np.sqrt(d)
     return SmoothingConfig(bn=bn, d_var=d, z_original=z)
 
 
-@dataclass(frozen=True)
-class PivotBundle:
-    h_norm: float
-    coord_pivots: np.ndarray
-
-
-def pivot_smoothed(fitted: FittedModel, beta0, cfg: SmoothingConfig) -> PivotBundle:
-    """Data-side smoothed pivot bundle at the hypothesized beta0."""
+def pivot_smoothed(fitted: FittedModel, beta0, cfg: SmoothingConfig):
+    """Data-side coordinate pivots (p,) and ||Ȟ|| at the hypothesized beta0."""
     delta = fitted.beta_hat - np.asarray(beta0, dtype=float)
     coord, norms = _bundle(delta[None], fitted.l_hat[None], fitted.l_hat_inv[None],
                            spd_factor(fitted.m_hat)[None], np.diag(fitted.sigma_hat)[None],
                            fitted.n, cfg.bn, cfg.z_original[None])
-    return PivotBundle(h_norm=float(norms[0]), coord_pivots=coord[0])
+    return coord[0], float(norms[0])
 
 
 def _star_bundle(x, s, beta_hat, beta_star, nu, bn, z_star):

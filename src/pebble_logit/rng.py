@@ -2,7 +2,7 @@
 
 Every random quantity in the package is drawn from a :class:`RandomStream`,
 a thin wrapper over numpy's counter-based Philox generator. A stream is
-identified by a 64-bit master seed plus a hierarchical path of
+identified by a master seed in [0, 2^64) plus a hierarchical path of
 ``(label, index)`` pairs; the Philox key is the SHA-256 hash of that
 identity, so
 
@@ -12,8 +12,9 @@ identity, so
 * deriving a child is independent of how many values the parent has
   already produced.
 
-Streams are single-owner: share work across threads by deriving one child
-per unit of work, never by handing the same stream to two consumers.
+Streams are single-owner: never hand the same generator to two consumers.
+Threads share a run's replicates by reading disjoint blocks of one
+substream at known offsets, each through its own :class:`ScratchStream`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import hashlib
 import struct
 
 import numpy as np
+
+from .errors import UsageError
 
 
 def _child_key(parent_key: bytes, label: str, index: int) -> bytes:
@@ -41,7 +44,9 @@ class RandomStream:
         self.seed = int(seed)
         self.path = _path
         if _key is None:
-            _key = hashlib.sha256(struct.pack("<Q", self.seed & 0xFFFFFFFFFFFFFFFF)).digest()
+            if not 0 <= self.seed < 2**64:
+                raise UsageError(f"seed must lie in [0, 2^64), got {self.seed}")
+            _key = hashlib.sha256(struct.pack("<Q", self.seed)).digest()
         self._key = _key
         self._generator = None
 
@@ -59,12 +64,6 @@ class RandomStream:
             key = int.from_bytes(self._key[:16], "little")
             self._generator = np.random.Generator(np.random.Philox(key=key))
         return self._generator
-
-    def uniforms(self, size) -> np.ndarray:
-        return self.generator.random(size)
-
-    def gaussians(self, size) -> np.ndarray:
-        return self.generator.standard_normal(size)
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, path={self.path!r})"
@@ -94,8 +93,3 @@ class ScratchStream:
         state["has_uint32"] = 0
         self._bitgen.state = state
         return self.generator
-
-
-def parse_seed(text: str) -> int:
-    """Parse a seed given as decimal or 0x-prefixed hex."""
-    return int(text.strip(), 0)

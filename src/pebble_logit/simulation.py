@@ -80,10 +80,10 @@ def generate_dataset(scn: Scenario, experiment_index: int, stream: RandomStream)
     beta = scn.beta_true
     retries = 0
     for attempt in range(1000):
-        sub = stream.derive("data", attempt)
-        x = sub.gaussians((scn.n, scn.p)) @ chol.T
+        gen = stream.derive("data", attempt).generator
+        x = gen.standard_normal((scn.n, scn.p)) @ chol.T
         probs = expit(x @ beta)
-        y = (sub.uniforms(scn.n) < probs).astype(float)
+        y = (gen.random(scn.n) < probs).astype(float)
         try:
             return Dataset(x=x, y=y), beta, retries
         except DegenerateResponseError:

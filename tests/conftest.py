@@ -13,11 +13,10 @@ from hypothesis import settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
-from pebble_logit import Dataset, RandomStream, fit_mle
+from pebble_logit import Dataset, RandomStream, fit_mle, model
 from pebble_logit.errors import SeparationError, SingularMatrixError
-from pebble_logit.model import predict_probs
 from pebble_logit.perturb import DEFAULT_WEIGHTS, _solve_replicate
-from pebble_logit.pivots import PivotBundle, _star_bundle, draw_smoothing, pivot_smoothed
+from pebble_logit.pivots import _star_bundle, draw_smoothing, pivot_smoothed
 from pebble_logit.simulation import Scenario, generate_dataset
 
 MU = DEFAULT_WEIGHTS.mu
@@ -68,7 +67,7 @@ def replicate_pieces(data: Dataset, beta_hat):
     """(lin0, s) = (x'p̂, (y - p̂)x), built the way ``run_pebble`` builds them:
     p̂ through the package's logistic function, so the kernel entry points
     below replay the library byte for byte."""
-    p_hat = predict_probs(beta_hat, data.x)
+    p_hat = model.expit(data.x @ beta_hat)
     return data.x.T @ p_hat, data.x * (data.y - p_hat)[:, None]
 
 
@@ -102,15 +101,16 @@ def solve_replicate(data: Dataset, beta_hat, weights) -> np.ndarray:
     return beta_star[0]
 
 
-def star_bundle(data: Dataset, beta_hat, beta_star, weights, bn: float, z_star) -> PivotBundle:
-    """Bootstrap-side pivot bundle, through the package's replicate kernel as
-    a chunk of one; raises SingularMatrixError when L* or M* is singular."""
+def star_bundle(data: Dataset, beta_hat, beta_star, weights, bn: float, z_star):
+    """Bootstrap-side coordinate pivots (p,) and ||Ȟ*||, through the
+    package's replicate kernel as a chunk of one; raises
+    SingularMatrixError when L* or M* is singular."""
     _, s = replicate_pieces(data, beta_hat)
     coord, norms = _star_bundle(data.x, s, beta_hat, np.asarray(beta_star)[None],
                                 ((weights - MU) / MU)[None], bn, np.asarray(z_star)[None])
     if np.isnan(norms[0]):
         raise SingularMatrixError("replicate pivot matrix is singular")
-    return PivotBundle(h_norm=float(norms[0]), coord_pivots=coord[0])
+    return coord[0], float(norms[0])
 
 
 def random_spd(rng: np.random.Generator, dim: int, cond: float = 100.0) -> np.ndarray:
@@ -195,7 +195,8 @@ def smoothed_pivot_sample(n=200, p=2, datasets=2000, seed=5150) -> np.ndarray:
         except SeparationError:
             continue
         cfg = draw_smoothing(exp, n, p)
-        pivots.append(pivot_smoothed(fitted, beta_true, cfg).coord_pivots)
+        coord, _ = pivot_smoothed(fitted, beta_true, cfg)
+        pivots.append(coord)
     return np.array(pivots)
 
 

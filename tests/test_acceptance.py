@@ -244,7 +244,7 @@ class TestCriterion5:
         assert worst <= 1e-8
 
     def test_beta_weight_moments(self):
-        u = RandomStream(ACCEPT_SEED).derive("w", 0).uniforms((2, 1_000_000))
+        u = RandomStream(ACCEPT_SEED).derive("w", 0).generator.random((2, 1_000_000))
         draws = DEFAULT_WEIGHTS.draw(u[0], u[1])
         mean = draws.mean()
         centered = draws - mean

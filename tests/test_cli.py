@@ -17,6 +17,11 @@ from pebble_logit.cli import main
 
 # The largest level --level accepts: alpha = 1.1e-16, so 1 - alpha/2 rounds to 1.
 LARGEST_LEVEL = "0.9999999999999999"
+# Rows that neither separate nor degenerate under any header of
+# test_data_error_repeated_column, so the repeated name is the file's only
+# fault.
+TWICE_ROWS = ("0,-0.5,1\n1,0.6,0\n1,0.4,1\n1,0.3,0\n0,0.0,0\n0,0.5,1\n"
+              "1,-0.7,0\n1,-0.2,0\n0,-0.5,0\n0,0.6,0\n1,0.0,0\n0,-0.3,1\n")
 
 
 def _logistic_csv(n, seed, extra=""):
@@ -212,6 +217,28 @@ class TestErrorPaths:
         assert code == 2
         assert capsys.readouterr().err.startswith("ERROR:usage:")
 
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    def test_seed_outside_domain(self, fixture_csv, capsys, seed):
+        # Reduced modulo 2^64, these would replay the seeds 0 and 2^64 - 1.
+        code = run(["ci", "--data", fixture_csv, "--response", "y", "--boot", "100",
+                    "--seed", seed])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR:usage:")
+
+    @pytest.mark.parametrize("header, flags, name", [
+        ("y,x1,y", [], "y"),
+        ("x1,x1,y", [], "x1"),
+        ("_intercept,x1,y", ["--intercept"], "_intercept"),
+    ])
+    def test_data_error_repeated_column(self, tmp_path, capsys, header, flags, name):
+        p = tmp_path / "twice.csv"
+        p.write_text(f"{header}\n{TWICE_ROWS}", encoding="utf-8")
+        code = run(["fit", "--data", str(p), "--response", "y", *flags])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"ERROR:parse:{p}: column {name!r} is named more than once"]
+
     @pytest.mark.parametrize("flag, value", [
         ("--bn", "nan"), ("--bn", "inf"), ("--bn", "-inf"), ("--bn", "0"),
         ("--dvar", "nan"), ("--dvar", "inf"), ("--dvar", "1e400"), ("--dvar", "0"),
@@ -276,6 +303,7 @@ FUZZ_CSVS = {
     "response-only": b"y\n1\n0\n1\n0\n",
     "not-utf8": b"x1,y\n\xff\xfe,1\n2,0\n3,1\n",
     "control-char-header": b'"a\tb",y\n1,0\n2,1\n3,0\n4,1\n',
+    "repeated-column": f"y,x1,y\n{TWICE_ROWS}".encode(),
 }
 
 # Values at the edge of each flag's parser: non-finite, negative zero,

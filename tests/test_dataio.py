@@ -1,11 +1,16 @@
+import csv
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pebble_logit import Dataset
 from pebble_logit.dataio import dumps, emit_report, load_csv
 from pebble_logit.errors import (
     DataIOError,
+    InvalidDataError,
     MissingColumnError,
     NonBinaryResponseError,
     ParseError,
@@ -75,6 +80,13 @@ class TestLoadCsv:
         with pytest.raises(error, match=message):
             load_csv(p, "y")
 
+    def test_intercept_name_free_without_flag(self, tmp_path):
+        # "_intercept" is reserved only when --intercept adds that column.
+        p = write(tmp_path / "d.csv", "_intercept,y\n1,0\n2,1\n3,1\n")
+        assert load_csv(p, "y").columns == ("_intercept",)
+        with pytest.raises(ParseError, match="'_intercept' is named more than once"):
+            load_csv(p, "y", intercept=True)
+
     def test_empty_and_headers_only(self, tmp_path):
         with pytest.raises(ParseError):
             load_csv(write(tmp_path / "e.csv", ""), "y")
@@ -102,6 +114,89 @@ class TestLoadCsv:
         assert data.n == 80 and data.p == 5
         with_icpt = load_csv(p, "caesarian", intercept=True)
         assert with_icpt.p == 6
+
+
+# CSV cell texts: numbers as float() reads them (quoted, spaced, with an
+# underscore or a sign), 0/1 responses, and cells that fail: non-finite
+# values, the empty cell, words and a response of 2.
+X_CELLS = ["0", "-0", "1.0", " 1 ", '" 2.5"', "1_000", "1e3", "+1", "0.5", "-3"]
+Y_CELLS = ["0", "1", "1.0", '"0"', " 1", "-0"]
+CELLS = X_CELLS + Y_CELLS + ["nan", "inf", "-inf", "", "x", '"1,5"', "0x1", "2"]
+
+
+def reference_load(path, response, intercept):
+    """(x, y, names) by float() on every cell, or the (error type, message)
+    of the first bad row in file order, row by row and cell by cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *body = list(csv.reader(fh))
+    header = [name.strip() for name in header]
+    resp = header.index(response)
+    xs, ys = [], []
+    for r, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            return ParseError, f"row {r} has {len(row)} fields, header has {len(header)}"
+        xs.append([1.0] * intercept)
+        for i, cell in enumerate(row):
+            if i != resp:
+                try:
+                    xs[-1].append(float(cell))
+                except ValueError:
+                    return (ParseError,
+                            f"row {r}, column {header[i]!r}: cannot parse {cell!r} as a number")
+        try:
+            ys.append(float(row[resp]))
+        except ValueError:
+            return NonBinaryResponseError, f"row {r}: response {row[resp]!r} is not 0 or 1"
+        if ys[-1] not in (0.0, 1.0):
+            return NonBinaryResponseError, f"row {r}: response value {row[resp]} is not 0 or 1"
+    names = ["_intercept"] * intercept + [name for i, name in enumerate(header) if i != resp]
+    return np.array(xs).reshape(len(body), len(names)), np.array(ys), tuple(names)
+
+
+@st.composite
+def small_csv(draw):
+    """(text, intercept) for response "y": a header of three names and one
+    to eight rows, most of them good, the others of two to four cells drawn
+    from all of CELLS."""
+    header = draw(st.permutations(["a", "y", "b"]))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 5)):
+            rows.append([draw(st.sampled_from(Y_CELLS if name == "y" else X_CELLS))
+                         for name in header])
+        else:
+            rows.append(draw(st.lists(st.sampled_from(CELLS), min_size=2, max_size=4)))
+    text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
+    return text, draw(st.booleans())
+
+
+class TestLoadCsvProperty:
+    @settings(max_examples=200)
+    @given(case=small_csv())
+    def test_matches_reference_or_first_bad_row(self, tmp_path_factory, case):
+        text, intercept = case
+        path = tmp_path_factory.getbasetemp() / "property.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = reference_load(path, "y", intercept)
+        if len(expected) == 2:  # a bad row: the same error, with the same text
+            error, message = expected
+            with pytest.raises(error) as err:
+                load_csv(str(path), "y", intercept)
+            assert type(err.value) is error
+            assert str(err.value) == f"{path}: {message}"
+            return
+        x, y, names = expected
+        try:
+            reference = Dataset(x=x, y=y, columns=names)
+        except InvalidDataError as exc:  # too few rows, a constant y, a non-finite x
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                load_csv(str(path), "y", intercept)
+            return
+        data = load_csv(str(path), "y", intercept)
+        assert isinstance(data, Dataset)
+        assert data.x.tobytes(order="C") == reference.x.tobytes(order="C")
+        assert data.y.tobytes() == reference.y.tobytes()
+        assert data.columns == names
 
 
 class TestDumps:

@@ -11,7 +11,7 @@ from pebble_logit import (
     run_pebble,
     solver,
 )
-from pebble_logit.model import expit, predict_probs
+from pebble_logit.model import expit
 from pebble_logit.solver import _newton_lin, _start_state
 from conftest import (
     grid_mle_1d,
@@ -158,7 +158,7 @@ class TestFitWeightedEquation:
         fitted = fit_mle(data)
         offset = rng.normal(0, 1.0, 3)
         t = fit_weighted_equation(data, fitted.beta_hat, offset)
-        eq = offset + data.x.T @ (predict_probs(fitted.beta_hat, data.x) - predict_probs(t, data.x))
+        eq = offset + data.x.T @ (expit(data.x @ fitted.beta_hat) - expit(data.x @ t))
         assert np.max(np.abs(eq)) / data.n <= 1e-10
 
     @pytest.mark.parametrize("trial", range(10))
@@ -170,7 +170,7 @@ class TestFitWeightedEquation:
 
         def equation(v):
             terms = offset + data.x.T @ (
-                predict_probs(fitted.beta_hat, data.x) - predict_probs(np.array([v]), data.x)
+                expit(data.x @ fitted.beta_hat) - expit(data.x @ np.array([v]))
             )
             return float(terms[0])
 

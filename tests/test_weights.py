@@ -11,7 +11,7 @@ from conftest import MU, bootstrap_score, random_dataset, replicate_draws, solve
 def sample_weights(stream, n):
     """n weights from 2n uniforms, U1 the first n and U2 the next n, as a
     replicate's block holds them."""
-    u = stream.uniforms(2 * n)
+    u = stream.generator.random(2 * n)
     return DEFAULT_WEIGHTS.draw(u[:n], u[n:])
 
 
@@ -44,8 +44,8 @@ class TestWeightLaw:
     def test_tan_form_matches_cosine_form(self):
         # G* = U1 cos²(πv/2), written as U1 / (1 + tan²(πv/2)).
         v = np.concatenate([[0.0, 0.5, 1.0 - 2.0**-53, 1.0 - 2.0**-52, 0.25, 0.75],
-                            RandomStream(4).derive("v", 0).uniforms(100_000)])
-        u1 = np.concatenate([np.ones(6), RandomStream(4).derive("u", 0).uniforms(100_000)])
+                            RandomStream(4).derive("v", 0).generator.random(100_000)])
+        u1 = np.concatenate([np.ones(6), RandomStream(4).derive("u", 0).generator.random(100_000)])
         got = DEFAULT_WEIGHTS.draw(u1, v)
         assert np.max(np.abs(got - u1 * np.cos(np.pi * v / 2) ** 2)) <= 1e-15
 
