@@ -16,6 +16,7 @@ import click
 from .dataio import emit_report, load_csv
 from .errors import PebbleError, UsageError
 from .inference import make_intervals, normal_intervals, run_pebble
+from .rng import RandomStream
 from .simulation import Scenario, run_coverage_study
 from .solver import fit_mle
 
@@ -106,14 +107,15 @@ def fit(data_path, response, intercept, out):
 
 def _run_ensemble(data_path, response, intercept, level, boot, seed, bn, dvar):
     alpha = _alpha_from_level(level)
-    seed_value = _parse_seed_opt(seed)
+    # The root stream checks the seed's domain before any data is read.
+    stream = RandomStream(_parse_seed_opt(seed))
     d_var = _parse_dvar(dvar)
     data = load_csv(data_path, response, intercept)
     fitted = fit_mle(data)
-    ensemble = run_pebble(data, fitted, boot, seed_value, bn, d_var)
+    ensemble = run_pebble(data, fitted, boot, stream, bn, d_var)
     config = {
         "data": data_path, "response": response, "intercept": intercept,
-        "level": level, "alpha": alpha, "boot": boot, "seed": seed_value,
+        "level": level, "alpha": alpha, "boot": boot, "seed": stream.seed,
         "bn": ensemble.smoothing.bn, "d_var": ensemble.smoothing.d_var,
         "n": data.n, "p": data.p,
     }

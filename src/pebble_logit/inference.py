@@ -15,13 +15,14 @@ a root) and hide the loss from the ``MAX_FAILURE_RATE`` guard.
 The replicates run in chunks of k, drawn by one call each
 (``perturb._replicate_draws``) and solved and pivoted by one batched call
 each (``perturb._solve_replicate``, then ``pivots._star_bundle`` for the
-rows that solved). k comes from (n, p) alone, by ``_chunk_size``: the
-(k, n, p) stacks stay within 256 KiB. They are a chunk's largest arrays
-from p = 3 on; at p = 1 the (k, M) uniform block, M ≈ 2n, is up to about
-twice the budget. From n = 2000 on, threads take whole chunks. Every
-per-replicate product is stacked so that a replicate's bytes do not
-depend on its chunk-mates, so the ensemble is a deterministic function
-of (data, seed, B) at any chunk size and thread count.
+rows that solved). k comes from (n, p) alone, by ``_chunk_size``: a
+chunk's largest arrays, its (k, n, p) stacks and its (k, M) uniform block,
+stay within the one byte budget ``model._CHUNK_BYTES`` (256 KiB), which
+also sizes ``weighted_gram``'s row panels. From n = 2000 on, threads take
+whole chunks. Every per-replicate product is stacked so that a
+replicate's bytes do not depend on its chunk-mates, so the ensemble is a
+deterministic function of (data, seed, B) at any chunk size and thread
+count.
 
 Interval endpoints follow the percentile-t construction: for coordinate j
 with sandwich scale s_j = Σ̂_jj^{1/2} and bootstrap coordinate-pivot
@@ -56,8 +57,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import TooManyFailuresError, UsageError
-from .model import Dataset, expit
-from .perturb import _replicate_draws, _solve_replicate
+from .model import _CHUNK_BYTES, Dataset, expit
+from .perturb import _block_size, _replicate_draws, _solve_replicate
 from .pivots import SmoothingConfig, _star_bundle, draw_smoothing, pivot_smoothed
 from .rng import RandomStream, ScratchStream
 from .solver import FittedModel, _start_state
@@ -67,11 +68,6 @@ MAX_FAILURE_RATE = 0.01
 # On a 2-CPU host two threads took 0.85-0.87 of one thread's time at
 # n = 2000 (p = 4 and 11), tied at 1500 and lost at 1000 and below.
 _THREADS_MIN_N = 2000
-# A chunk of k replicates is solved and pivoted in one batched call.
-# Holding its (k, n, p) float64 stacks to 256 KiB kept nearly all of the
-# batching gain at (200, 8) and (100, 4) with a peak-memory rise under
-# 1 MB, where chunks of 64-128 cost 3-6 MB more.
-_CHUNK_BYTES = 256 * 1024
 _MAX_CHUNK = 256
 
 
@@ -145,11 +141,12 @@ def _replicate_threads(n: int) -> int:
 
 
 def _chunk_size(n: int, p: int) -> int:
-    """Replicates per batched call: as many as keep a (k, n, p) float64
-    temporary within ``_CHUNK_BYTES``, between 1 and ``_MAX_CHUNK`` (the
-    (k, M) uniform block, 527 KB at n = 200 and p = 1, is not counted). It
-    depends on (n, p) alone, and no output depends on it."""
-    return min(max(_CHUNK_BYTES // (8 * n * p), 1), _MAX_CHUNK)
+    """Replicates per batched call: as many as keep both a (k, n, p) float64
+    stack and the (k, M) uniform block of ``_replicate_draws`` within
+    ``_CHUNK_BYTES``, between 1 and ``_MAX_CHUNK``. It depends on (n, p)
+    alone, and no output depends on it."""
+    per_replicate = 8 * max(n * p, _block_size(n, p))
+    return min(max(_CHUNK_BYTES // per_replicate, 1), _MAX_CHUNK)
 
 
 def run_pebble(

@@ -10,7 +10,9 @@ and the bootstrap side mirrors it with the replicate's own matrices:
     Ȟ* = M̂*^{-1/2} [ sqrt(n) L* (β̂* - β̂) + b Z* ],     Z* ~ N(0, D)
 
 where L* is the information matrix at β̂* and M̂* reweights the sandwich
-middle by the squared centered-scaled weights. Per-coordinate scalar
+middle by the squared centered-scaled weights: with the residual-scaled
+rows s_i = (y_i - p̂_i) x_i and ν = (G* - mu)/mu, M̂* = n^{-1} s' diag(ν²) s,
+the ν²-weighted gram of s (``model.weighted_gram``). Per-coordinate scalar
 pivots studentize by the corresponding sandwich diagonal and carry the
 jitter through L^{-1}:
 
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import SingularMatrixError, UsageError
 from .linalg import spd_factor, sym_inverse
-from .model import info_matrix
+from .model import info_matrix, weighted_gram
 from .rng import RandomStream
 from .solver import FittedModel
 
@@ -104,8 +106,9 @@ def pivot_smoothed(fitted: FittedModel, beta0, cfg: SmoothingConfig):
 def _star_bundle(x, s, beta_hat, beta_star, nu, bn, z_star):
     """Bootstrap-side smoothed pivots for a chunk of k solved replicates,
     the only ones in the package; ``s`` is the matrix of residual-scaled
-    rows (y - p̂)x built once per dataset, and ``beta_star`` (k, p), ``nu``
-    (k, n) and ``z_star`` (k, p) hold one replicate per row; k may be 0.
+    rows (y - p̂)x built once per dataset, column-major like x (as
+    ``weighted_gram`` needs), and ``beta_star`` (k, p), ``nu`` (k, n) and
+    ``z_star`` (k, p) hold one replicate per row; k may be 0.
     Returns the coordinate pivots (k, p) and the norms ||Ȟ*|| (k,); a row
     whose L* or M* fails the singularity rule holds NaN in both. A stacked
     factorization fails for the whole stack when one matrix is singular, so
@@ -113,9 +116,8 @@ def _star_bundle(x, s, beta_hat, beta_star, nu, bn, z_star):
     other rows either way."""
     n, k = x.shape[0], beta_star.shape[0]
     l_star = info_matrix(beta_star, x)
-    s_nu = s * nu[:, :, None]
     try:
-        m_factor = spd_factor(np.swapaxes(s_nu, -1, -2) @ s_nu / n)
+        m_factor = spd_factor(weighted_gram(s, nu * nu) / n)
         l_star_inv = sym_inverse(l_star)
     except SingularMatrixError:
         if k == 1:

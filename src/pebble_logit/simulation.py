@@ -169,10 +169,12 @@ def run_coverage_study(scn: Scenario, workers: int = 1) -> CoverageReport:
     processes. Results are reduced in experiment order, so the report is a
     deterministic function of the scenario alone. Raises TooManyFailuresError
     when ``MAX_EXPERIMENT_FAILURE_RATE`` of the reps or more are dropped,
-    and UsageError when workers < 1.
+    and UsageError when workers < 1 or the seed lies outside [0, 2^64),
+    before any worker starts.
     """
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
+    RandomStream(scn.seed)  # checks the seed before any experiment runs
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(

@@ -226,6 +226,14 @@ class TestErrorPaths:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR:usage:")
 
+    def test_seed_checked_before_data(self, tmp_path, capsys):
+        # An invalid seed is a usage error even when --data names no file.
+        code = run(["ci", "--data", str(tmp_path / "absent.csv"), "--response", "y",
+                    "--seed", "-1"])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR:usage:")
+
     @pytest.mark.parametrize("header, flags, name", [
         ("y,x1,y", [], "y"),
         ("x1,x1,y", [], "x1"),

@@ -178,6 +178,19 @@ class TestRunPebble:
             assert np.array_equal(a.h_norms, b.h_norms)
             assert np.array_equal(a.beta_stars, b.beta_stars)
 
+    def test_panelled_gram_schedule_invariant(self, monkeypatch):
+        # At (3100, 11) every gram sums two row panels; the ensemble's
+        # bytes still do not depend on the chunk size or the thread count.
+        data, fitted, _ = small_problem(seed=23, n=3100, p=11)
+        runs = set()
+        for threads, chunk in itertools.product([1, 2], [1, 2, 3]):
+            monkeypatch.setattr(inference, "_replicate_threads", lambda n, k=threads: k)
+            monkeypatch.setattr(inference, "_chunk_size", lambda n, p, k=chunk: k)
+            e = run_pebble(data, fitted, 100, RandomStream(5))
+            assert e.failed_replicates == 0
+            runs.add((e.coord_pivots.tobytes(), e.h_norms.tobytes(), e.beta_stars.tobytes()))
+        assert len(runs) == 1
+
     @settings(max_examples=40)
     @given(overlapped_data(), st.integers(1, 8), st.integers(100, 250),
            st.sampled_from([1, 2, 7, None]))

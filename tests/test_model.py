@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit as scipy_expit
 
 from pebble_logit import Dataset, DegenerateResponseError, InvalidDataError, fit_mle
-from pebble_logit.model import expit, info_matrix, sandwich_mid
+from pebble_logit.model import _CHUNK_BYTES, expit, info_matrix, sandwich_mid, weighted_gram
 from conftest import central_differences, log_likelihood, predict_prob, random_dataset, score
 
 
@@ -153,6 +153,53 @@ class TestSandwichMid:
         m = sandwich_mid(rng.standard_normal(3), data.x, data.y)
         assert np.array_equal(m, m.T)
         assert np.linalg.eigvalsh(m).min() >= -1e-12
+
+
+def _one_pass_gram(x, w):
+    return (x.T * w[:, None, :]) @ x
+
+
+def _relative_gap(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestWeightedGram:
+    """The gram sums row panels of P = _CHUNK_BYTES // (8 p) rows once n
+    exceeds P; below that it is the one-pass product."""
+
+    @staticmethod
+    def _inputs(n, p, k, seed):
+        rng = np.random.default_rng(seed)
+        return np.asfortranarray(rng.standard_normal((n, p))), rng.random((k, n))
+
+    @pytest.mark.parametrize("n, p", [(50, 3), (_CHUNK_BYTES // 88, 11)])
+    def test_one_panel_is_the_one_pass_product(self, n, p):
+        x, w = self._inputs(n, p, 3, 1)
+        assert weighted_gram(x, w).tobytes() == _one_pass_gram(x, w).tobytes()
+
+    @pytest.mark.parametrize("p", [3, 11])
+    @pytest.mark.parametrize("extra", ["one row", "three panels"])
+    def test_panels_match_the_one_pass_product(self, p, extra):
+        panel = _CHUNK_BYTES // (8 * p)
+        n = panel + 1 if extra == "one row" else 3 * panel + 5
+        x, w = self._inputs(n, p, 3, p)
+        assert _relative_gap(weighted_gram(x, w), _one_pass_gram(x, w)) <= 1e-13
+
+    @pytest.mark.parametrize("n, p", [(50, 3), (3 * (_CHUNK_BYTES // 88) + 5, 11)])
+    def test_row_bytes_do_not_depend_on_the_stack(self, n, p):
+        x, w = self._inputs(n, p, 3, 2)
+        stacked = weighted_gram(x, w)
+        for r in range(3):
+            assert weighted_gram(x, w[r:r + 1])[0].tobytes() == stacked[r].tobytes()
+
+    @pytest.mark.parametrize("n, p, k", [(100, 4, 81), (200, 8, 20), (3100, 11, 2)])
+    def test_m_star_is_the_nu_squared_gram_of_s(self, n, p, k):
+        # M* = (sν)'(sν)/n as a weighted gram of the residual-scaled rows s.
+        x, nu = self._inputs(n, p, k, 3)
+        s = x * (np.random.default_rng(4).random(n) - 0.5)[:, None]
+        s_nu = s * nu[:, :, None]
+        direct = np.swapaxes(s_nu, -1, -2) @ s_nu
+        assert _relative_gap(weighted_gram(s, nu * nu), direct) <= 1e-13
 
 
 class TestDataset:

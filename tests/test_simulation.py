@@ -5,6 +5,7 @@ from pebble_logit import (
     RandomStream,
     Scenario,
     TooManyFailuresError,
+    UsageError,
     fit_mle,
     normal_intervals,
     run_coverage_study,
@@ -143,6 +144,15 @@ class TestRunCoverageStudy:
     def test_identical_reports_same_seed(self):
         scn = Scenario(n=50, p=2, reps=3, boot=100, alpha=0.1, seed=9)
         assert run_coverage_study(scn).as_dict() == run_coverage_study(scn).as_dict()
+
+    def test_seed_checked_before_the_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the process pool started")
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_pool)
+        scn = Scenario(n=60, p=2, reps=4, boot=100, alpha=0.1, seed=-1)
+        with pytest.raises(UsageError):
+            run_coverage_study(scn, workers=2)
 
     @pytest.mark.parametrize("dropped", [0, 1])
     def test_dropped_share_boundary(self, monkeypatch, dropped):
