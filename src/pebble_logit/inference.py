@@ -49,9 +49,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import parent_process
 from statistics import NormalDist
 
 import numpy as np
@@ -133,7 +131,13 @@ def _replicate_threads(n: int) -> int:
     """Threads for the replicate loop: the CPUs this process may use once
     n reaches ``_THREADS_MIN_N``, else 1. A coverage-study worker process
     always gets 1, since its sibling workers already hold the other CPUs."""
-    if n < _THREADS_MIN_N or parent_process() is not None:
+    if n < _THREADS_MIN_N:
+        return 1
+    # Imported past the n test, like the thread pool in run_pebble: a small
+    # run never loads multiprocessing or concurrent.futures.
+    from multiprocessing import parent_process
+
+    if parent_process() is not None:
         return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -207,6 +211,8 @@ def run_pebble(
     chunks = [range(i, min(i + size, b)) for i in range(0, b, size)]
     threads = _replicate_threads(n)
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_chunks, [chunks[i::threads] for i in range(threads)]))
     else:

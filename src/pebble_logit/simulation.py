@@ -17,7 +17,6 @@ isolation, and the report is identical for any worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -176,6 +175,10 @@ def run_coverage_study(scn: Scenario, workers: int = 1) -> CoverageReport:
         raise UsageError(f"workers must be >= 1, got {workers}")
     RandomStream(scn.seed)  # checks the seed before any experiment runs
     if workers > 1:
+        # Imported only here, so that a one-process study or a CLI call never
+        # loads concurrent.futures.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(_run_experiment, [scn] * scn.reps, range(scn.reps),

@@ -178,6 +178,35 @@ class TestErrorPaths:
         assert run(["fit", "--nope"]) == 2
         assert capsys.readouterr().err.startswith("ERROR:usage:")
 
+    def test_usage_no_command(self, capsys):
+        assert run([]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR:usage:")
+
+    def test_usage_abbreviated_flag(self, fixture_csv, capsys):
+        assert run(["fit", "--dat", fixture_csv, "--response", "y"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR:usage:")
+
+    def test_dash_value_is_the_option_value(self, fixture_csv, capsys):
+        # The token after a value-taking option is its value, even when it
+        # starts with '-', so the bandwidth check reports it.
+        code = run(["ci", "--data", fixture_csv, "--response", "y", "--boot", "100",
+                    "--bn", "-1e-3"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("ERROR:usage:bn must be finite and > 0")
+
+    @pytest.mark.parametrize("command, options", [
+        ("ci", ["--data", "--response", "--intercept", "--level", "--boot", "--seed",
+                "--bn", "--dvar", "--out"]),
+        ("simulate", ["--n", "--p", "--reps", "--level", "--boot", "--seed", "--workers",
+                      "--out"]),
+    ])
+    def test_help_names_every_option(self, capsys, command, options):
+        assert run([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert [o for o in options if re.search(rf"{o}\b", out) is None] == []
+
     def test_usage_small_boot(self, fixture_csv, capsys):
         code = run(["ci", "--data", fixture_csv, "--response", "y", "--boot", "50"])
         assert code == 2
@@ -382,15 +411,36 @@ class TestFuzz:
 
 
 class TestImport:
-    @pytest.mark.parametrize("module", ["pebble_logit", "pebble_logit.cli"])
-    def test_import_loads_no_scipy(self, module):
-        # scipy is a test-only oracle; importing it was half of a cold start.
+    @staticmethod
+    def _loaded(code, prefixes):
+        """The modules under ``prefixes`` that a fresh interpreter has
+        loaded after running ``code``."""
         import pebble_logit
 
         src = str(Path(pebble_logit.__file__).resolve().parents[1])
-        code = (f"import sys, {module}; "
-                "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+        probe = (f"{code}\nimport sys\n"
+                 f"print(sorted(m for m in sys.modules for p in {prefixes!r} "
+                 "if m == p or m.startswith(p + '.')))")
         env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, check=True, timeout=120)
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("module", ["pebble_logit", "pebble_logit.cli"])
+    def test_import_loads_no_scipy(self, module):
+        # scipy is a test-only oracle; importing it was half of a cold start.
+        assert self._loaded(f"import {module}", ("scipy",)) == "[]"
+
+    # A command imports only what it runs: the pools of n >= 2000 and of
+    # simulate --workers > 1, and no CLI framework.
+    UNUSED = ("click", "concurrent.futures", "multiprocessing")
+
+    def test_import_loads_no_pool_or_click(self):
+        assert self._loaded("import pebble_logit.cli", self.UNUSED) == "[]"
+
+    def test_ci_call_loads_no_pool_or_click(self, ci_small_csv, tmp_path):
+        argv = ["ci", "--data", ci_small_csv, "--response", "y", "--intercept",
+                "--boot", "1000", "--seed", "1", "--out", str(tmp_path / "ci.json")]
+        code = f"from pebble_logit.cli import main\nassert main({argv!r}) == 0"
+        assert self._loaded(code, self.UNUSED) == "[]"
+        assert json.loads((tmp_path / "ci.json").read_text())["failed_replicates"] == 0

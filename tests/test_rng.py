@@ -75,15 +75,17 @@ def test_scratch_stream_matches_derive():
 # A seed's text is parsed by the CLI; RandomStream checks its range.
 @pytest.mark.parametrize(
     "text,value",
-    [("42", 42), ("0x2a", 42), ("0X2A", 42), ("  7 ", 7), ("0", 0)],
+    [("42", 42), ("0x2a", 42), ("0X2A", 42), ("  7 ", 7), ("0", 0), ("007", 7)],
 )
 def test_parse_seed(text, value):
     assert _parse_seed_opt(text) == value
 
 
 def test_parse_seed_rejects_garbage():
-    with pytest.raises(UsageError):  # a ValueError too
-        _parse_seed_opt("not-a-seed")
+    # Decimal digits or 0x-hex only: no other base prefix, sign or separator.
+    for text in ["not-a-seed", "0b11", "0o17", "0x", "+7", "1_000", "-0"]:
+        with pytest.raises(UsageError):  # a ValueError too
+            _parse_seed_opt(text)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])

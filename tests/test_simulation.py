@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -149,7 +151,8 @@ class TestRunCoverageStudy:
         def no_pool(*args, **kwargs):
             raise AssertionError("the process pool started")
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_pool)
+        # run_coverage_study imports the pool class only when workers > 1.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         scn = Scenario(n=60, p=2, reps=4, boot=100, alpha=0.1, seed=-1)
         with pytest.raises(UsageError):
             run_coverage_study(scn, workers=2)

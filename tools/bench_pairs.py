@@ -21,15 +21,21 @@ bound. A metric named by ``--claim`` also gets the gain rule: the change
 wins at least nine tenths of the pairs (ties count for neither side) and
 the gap between the medians exceeds the parent's interquartile range.
 Every run is kept under ``runs``.
+
+SIGTERM or SIGINT stops the script: it kills the current ``bench/run.py``
+child with its whole process group, removes the parent checkout, writes
+no file and exits with 128 + the signal number.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -41,6 +47,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
 GAIN_SHARE = 0.9
+
+
+class Stopped(Exception):
+    """A SIGTERM or SIGINT arrived; ``args[0]`` is the signal number."""
+
+
+def _stop(signum, _frame):
+    raise Stopped(signum)
 
 
 def git(*args: str, cwd: Path = ROOT) -> str:
@@ -57,11 +71,21 @@ def unpack(rev: str, into: Path) -> None:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced benchmark run; its result line, plus the exit code."""
-    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+    """One untraced benchmark run; its result line, plus the exit code.
+
+    The child leads a session of its own, so that a stop can kill it and
+    the ``pebble ci`` processes it starts as one process group."""
+    with subprocess.Popen([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=root, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+                          cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as proc:
+        try:
+            stdout, _ = proc.communicate()
+        except Stopped:
+            with contextlib.suppress(ProcessLookupError):  # the group had already exited
+                os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
@@ -140,6 +164,29 @@ def summarize(runs: list[dict], metric: dict, claimed: bool) -> dict:
     return out
 
 
+def run_pairs(parent_rev: str, seeds: list[int], workloads: list[str], seconds: int) -> list[dict]:
+    """Every pair of every workload on every seed; one row per run."""
+    runs: list[dict] = []
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_root = Path(tmp)
+        unpack(parent_rev, parent_root)
+        roots = {"parent": parent_root, "change": ROOT}
+        for seed in seeds:
+            for workload in workloads:
+                for pair in range(PAIRS):
+                    order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
+                    for i, side in enumerate(order):
+                        result = run_once(roots[side], workload, seed, seconds)
+                        row = {"seed": seed, "workload": workload, "pair": pair, "side": side,
+                               "first": i == 0, "exit": result["exit"],
+                               "correct": result["correct"], "attempted": result["attempted"],
+                               "failed": result["failed"]}
+                        row.update({k: v["value"] for k, v in result["metrics"].items()})
+                        runs.append(row)
+                        print(json.dumps(row), file=sys.stderr)
+    return runs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="parent commit (any git revision)")
@@ -162,24 +209,14 @@ def main(argv=None) -> int:
               "checkout; both sides must run the same benchmark", file=sys.stderr)
         return 2
 
-    runs: list[dict] = []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_root = Path(tmp)
-        unpack(parent_rev, parent_root)
-        roots = {"parent": parent_root, "change": ROOT}
-        for seed in args.seed:
-            for workload in workloads:
-                for pair in range(PAIRS):
-                    order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
-                    for i, side in enumerate(order):
-                        result = run_once(roots[side], workload, seed, seconds)
-                        row = {"seed": seed, "workload": workload, "pair": pair, "side": side,
-                               "first": i == 0, "exit": result["exit"],
-                               "correct": result["correct"], "attempted": result["attempted"],
-                               "failed": result["failed"]}
-                        row.update({k: v["value"] for k, v in result["metrics"].items()})
-                        runs.append(row)
-                        print(json.dumps(row), file=sys.stderr)
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _stop)
+    try:
+        runs = run_pairs(parent_rev, args.seed, workloads, seconds)
+    except Stopped as exc:
+        print(f"bench_pairs: stopped by signal {exc.args[0]}; nothing written",
+              file=sys.stderr)
+        return 128 + exc.args[0]
 
     ok = [r for r in runs if r["exit"] == 0 and r["correct"]]
     summary = {
