@@ -224,12 +224,13 @@ def main(argv=None) -> int:
         args.run(args)
     except SystemExit as exc:  # --help, after printing its text
         return exc.code
-    except PebbleError as exc:
-        print(f"ERROR:{exc.kind}:{exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"ERROR:io:{exc}", file=sys.stderr)
-        return 5
+    except (PebbleError, OSError) as exc:
+        kind, code = (exc.kind, exc.exit_code) if isinstance(exc, PebbleError) else ("io", 5)
+        # A message may quote user text (a path, a column name); escaping
+        # its line breaks keeps the report to one ERROR: line.
+        message = str(exc).replace("\n", "\\n").replace("\r", "\\r")
+        print(f"ERROR:{kind}:{message}", file=sys.stderr)
+        return code
     return 0
 
 

@@ -16,9 +16,9 @@ The replicates run in chunks of k, drawn by one call each
 (``perturb._replicate_draws``) and solved and pivoted by one batched call
 each (``perturb._solve_replicate``, then ``pivots._star_bundle`` for the
 rows that solved). k comes from (n, p) alone, by ``_chunk_size``: a
-chunk's largest arrays, its (k, n, p) stacks and its (k, M) uniform block,
-stay within the one byte budget ``model._CHUNK_BYTES`` (256 KiB), which
-also sizes ``weighted_gram``'s row panels. From n = 2000 on, threads take
+chunk's largest array, its (k, M) uniform block, stays within the one
+byte budget ``model._CHUNK_BYTES`` (256 KiB), which also bounds
+``weighted_gram``'s own temporary. From n = 2000 on, threads take
 whole chunks. Every per-replicate product is stacked so that a
 replicate's bytes do not depend on its chunk-mates, so the ensemble is a
 deterministic function of (data, seed, B) at any chunk size and thread
@@ -145,12 +145,12 @@ def _replicate_threads(n: int) -> int:
 
 
 def _chunk_size(n: int, p: int) -> int:
-    """Replicates per batched call: as many as keep both a (k, n, p) float64
-    stack and the (k, M) uniform block of ``_replicate_draws`` within
-    ``_CHUNK_BYTES``, between 1 and ``_MAX_CHUNK``. It depends on (n, p)
-    alone, and no output depends on it."""
-    per_replicate = 8 * max(n * p, _block_size(n, p))
-    return min(max(_CHUNK_BYTES // per_replicate, 1), _MAX_CHUNK)
+    """Replicates per batched call: as many as keep the (k, M) uniform block
+    of ``_replicate_draws`` within ``_CHUNK_BYTES``, between 1 and
+    ``_MAX_CHUNK``. With M >= 2n that also bounds the chunk's (k, n)
+    arrays; ``weighted_gram`` bounds its own (·, p, ·) temporary. It
+    depends on (n, p) alone, and no output depends on it."""
+    return min(max(_CHUNK_BYTES // (8 * _block_size(n, p)), 1), _MAX_CHUNK)
 
 
 def run_pebble(

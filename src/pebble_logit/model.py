@@ -25,10 +25,11 @@ a fresh row could round differently. The design is column-major
 
 ``weighted_gram`` is the package's only gram over the n rows: the Newton
 Hessians, the information and sandwich matrices and the replicate M* all
-call it. It sums row panels of ``_CHUNK_BYTES // (8 p)`` rows, so that
-its (k, p, panel) temporary stays within the one byte budget that also
-sizes ``inference``'s chunks of k replicates; the panel depends on p
-alone, so a row's bytes do not depend on k.
+call it. It takes its k weight rows in blocks and sums row panels of
+``_CHUNK_BYTES // (8 p)`` rows of x, so that its (block, p, panel)
+temporary stays within the one byte budget that also sizes
+``inference``'s chunks of k replicates; each weight row is its own
+stacked product, so a row's bytes depend on neither k nor the block.
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ import numpy as np
 from .errors import DegenerateResponseError, InvalidDataError
 from .linalg import symmetrize
 
-# The byte budget of the n-long temporaries: a panel of ``weighted_gram``
-# (k, p, panel) and a chunk of ``inference`` ((k, n, p) stacks and a (k, M)
-# uniform block). At 256 KiB, on a 2-CPU Xeon with one BLAS thread, a gram
-# at (20 000, 11) took 0.35-0.37 ms in panels of 2978 rows against
-# 0.65-0.76 ms in one pass, and chunks kept nearly all of the batching gain
-# at (200, 8) and (100, 4) with a peak-memory rise under 1 MB, where chunks
-# of 64-128 cost 3-6 MB more.
+# The byte budget of the n-long temporaries: a block of ``weighted_gram``
+# ((block, p, panel)) and a chunk of ``inference`` (its (k, M) uniform
+# block). On a 2-CPU Xeon with one BLAS thread (numpy 2.4.6), a gram at
+# (20 000, 11) took 0.35-0.37 ms in panels of 2978 rows against
+# 0.65-0.76 ms in one pass. ``run_pebble`` with B = 1000 at (200, 8) took
+# a median 56 ms in chunks of 20, 39 ms in chunks of 80 (this budget) and
+# 36 ms in chunks of 256, with a tracemalloc peak of 0.67, 1.13 and 2.79
+# MiB; at (100, 4) it took 37 ms at k = 20 and 17-23 ms at k = 80 to 160.
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -139,14 +141,23 @@ def row_products(v, x) -> np.ndarray:
 def weighted_gram(x, w) -> np.ndarray:
     """x' diag(w_r) x for each row w_r of w (k, n): a (k, p, p) stack.
 
-    The sum runs over panels of P = ``_CHUNK_BYTES // (8 p)`` rows in row
-    order, the last one possibly shorter, so its (k, p, P) temporary stays
-    within the budget; at n <= P the first panel is all of x, and the sum
-    is the one-pass product. For a column-major x the temporary is
-    C-contiguous."""
-    panel = _CHUNK_BYTES // (8 * x.shape[1])
-    gram = (x.T[:, :panel] * w[:, None, :panel]) @ x[:panel]
-    for i in range(panel, x.shape[0], panel):
-        rows = slice(i, i + panel)
-        gram += (x.T[:, rows] * w[:, None, rows]) @ x[rows]
+    The rows of w go in blocks of ``_CHUNK_BYTES // (8 p min(n, P))``
+    (at least one), and for each block the sum runs over panels of
+    P = ``_CHUNK_BYTES // (8 p)`` rows of x in row order, the last one
+    possibly shorter, so that the (block, p, panel) temporary stays within
+    the budget; at n <= P the first panel is all of x, and the sum is the
+    one-pass product. Every row of w is its own stacked product, so its
+    bytes depend on neither k nor the block. For a column-major x the
+    temporary is C-contiguous."""
+    n, p = x.shape
+    panel = _CHUNK_BYTES // (8 * p)
+    block = max(_CHUNK_BYTES // (8 * p * min(n, panel)), 1)
+    gram = np.empty((w.shape[0], p, p))
+    for j in range(0, w.shape[0], block):
+        wj = w[j:j + block]
+        out = gram[j:j + block]
+        out[...] = (x.T[:, :panel] * wj[:, None, :panel]) @ x[:panel]
+        for i in range(panel, n, panel):
+            rows = slice(i, i + panel)
+            out += (x.T[:, rows] * wj[:, None, rows]) @ x[rows]
     return gram

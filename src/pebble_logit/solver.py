@@ -215,7 +215,7 @@ def _newton_lin(x, lin, start):
 
         if rounds:
             # The Hessian weights p(1 - p), in place: one (k, n) array fewer
-            # is alive while the (k, p, ·) temporary of weighted_gram is.
+            # is alive while the (·, p, ·) temporary of weighted_gram is.
             probs *= 1.0 - probs
             hess = weighted_gram(x, probs)
         else:

@@ -1,6 +1,7 @@
 import contextlib
 import inspect
 import io
+import itertools
 import json
 import os
 import re
@@ -240,6 +241,19 @@ class TestErrorPaths:
         ])
         assert code == 5
         assert capsys.readouterr().err.startswith("ERROR:io:")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--data", "no\nfile.csv"),
+        ("--data", "no\r\nfile.csv"),
+        ("--out", "/nonexistent\ndir/report.json"),
+    ])
+    def test_io_error_is_one_line(self, fixture_csv, capsys, flag, value):
+        # User text quoted in the message has its line breaks escaped.
+        argv = {"--data": fixture_csv, "--response": "y"} | {flag: value}
+        assert run(["fit", *itertools.chain(*argv.items())]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:io:") and err.count("\n") == 1
+        assert "\r" not in err and value.replace("\n", "\\n").replace("\r", "\\r") in err
 
     def test_bad_seed(self, fixture_csv, capsys):
         code = run(["ci", "--data", fixture_csv, "--response", "y", "--seed", "abc"])

@@ -433,6 +433,13 @@ class TestReplicateThreads:
             assert pool.submit(_replicate_threads, 10**6).result(timeout=120) == 1
 
 
+class TestChunkSize:
+    @pytest.mark.parametrize("n, p, expected", [(100, 4, 160), (200, 8, 80), (20000, 11, 1)])
+    def test_the_uniform_block_fills_the_budget(self, n, p, expected):
+        # The shapes of ci_small, coverage_200_8 and ci_large.
+        assert inference._chunk_size(n, p) == expected
+
+
 class TestMakeIntervals:
     def test_hand_endpoint_algebra(self):
         # beta_hat=1, sigma=4, n=4, q05=-2, q95=2, correction 0.1 -> [-0.9, 3.1]

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -165,12 +166,17 @@ def _relative_gap(a, b):
 
 class TestWeightedGram:
     """The gram sums row panels of P = _CHUNK_BYTES // (8 p) rows once n
-    exceeds P; below that it is the one-pass product."""
+    exceeds P; below that it is the one-pass product. It takes the weight
+    rows in blocks of _CHUNK_BYTES // (8 p min(n, P)), at least one."""
 
     @staticmethod
     def _inputs(n, p, k, seed):
         rng = np.random.default_rng(seed)
         return np.asfortranarray(rng.standard_normal((n, p))), rng.random((k, n))
+
+    @staticmethod
+    def _block(n, p):
+        return max(_CHUNK_BYTES // (8 * p * min(n, _CHUNK_BYTES // (8 * p))), 1)
 
     @pytest.mark.parametrize("n, p", [(50, 3), (_CHUNK_BYTES // 88, 11)])
     def test_one_panel_is_the_one_pass_product(self, n, p):
@@ -185,14 +191,33 @@ class TestWeightedGram:
         x, w = self._inputs(n, p, 3, p)
         assert _relative_gap(weighted_gram(x, w), _one_pass_gram(x, w)) <= 1e-13
 
-    @pytest.mark.parametrize("n, p", [(50, 3), (3 * (_CHUNK_BYTES // 88) + 5, 11)])
+    @pytest.mark.parametrize("n, p", [(50, 3), (3 * (_CHUNK_BYTES // 88) + 5, 11), (200, 8)])
     def test_row_bytes_do_not_depend_on_the_stack(self, n, p):
-        x, w = self._inputs(n, p, 3, 2)
+        # Two full blocks of weight rows and a partial third.
+        k = 2 * self._block(n, p) + 5
+        x, w = self._inputs(n, p, k, 2)
         stacked = weighted_gram(x, w)
-        for r in range(3):
+        for r in range(k):
             assert weighted_gram(x, w[r:r + 1])[0].tobytes() == stacked[r].tobytes()
 
-    @pytest.mark.parametrize("n, p, k", [(100, 4, 81), (200, 8, 20), (3100, 11, 2)])
+    @pytest.mark.parametrize("n, p, k", [(200, 8, 80), (100, 4, 160)])
+    def test_temporary_stays_within_the_budget(self, n, p, k):
+        # The chunks of coverage_200_8 and ci_small: beyond the (k, p, p)
+        # result, the gram holds one (block, p, n) temporary at a time,
+        # with the two iteration buffers of np.getbufsize() doubles that
+        # numpy's multiply allocates, and a 16 KiB slack for the block's
+        # (block, p, p) product and array headers.
+        x, w = self._inputs(n, p, k, 6)
+        tracemalloc.start()
+        try:
+            weighted_gram(x, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _CHUNK_BYTES + 8 * k * p * p + 16 * np.getbufsize() + 16 * 1024
+
+    @pytest.mark.parametrize("n, p, k", [(100, 4, 81), (100, 4, 160), (200, 8, 20),
+                                         (200, 8, 80), (3100, 11, 2)])
     def test_m_star_is_the_nu_squared_gram_of_s(self, n, p, k):
         # M* = (sν)'(sν)/n as a weighted gram of the residual-scaled rows s.
         x, nu = self._inputs(n, p, k, 3)
